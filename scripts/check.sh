@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge gate: the tier-1 verify (configure + build + full ctest run,
-# quick label first so sub-second suites fail fast), the real-socket
+# quick label first so sub-second suites fail fast), the fig6/fig8 paper
+# benches gated bit-identical against their committed baselines, the real-socket
 # testbed drill (3 daemons, kill -9, WAL replay), the transport bench
 # gated against its committed baseline,
 # an ASan/UBSan build of the test suite, a TSan build of the chaos/sim
@@ -63,6 +64,18 @@ echo "==> partition bench vs committed baseline"
 ./build/tools/banscore-lab bench-diff \
   --old bench/baselines/BENCH_partition.json --new build/BENCH_partition.json \
   --tolerance 0.0 --timing-tolerance 20.0
+
+echo "==> paper figures vs committed baselines: fig6/fig8 bit-identical"
+# Both reports hold only simulated quantities (fig6 hash rates, fig8 ban
+# counts and sim-time means), so even the timing-class fields must match.
+./build/bench/bench_fig6_mining_rate --json build/BENCH_fig6.json > /dev/null
+./build/tools/banscore-lab bench-diff \
+  --old bench/baselines/BENCH_fig6.json --new build/BENCH_fig6.json \
+  --tolerance 0.0 --timing-tolerance 0.0
+./build/bench/bench_fig8_defamation --json build/BENCH_fig8.json > /dev/null
+./build/tools/banscore-lab bench-diff \
+  --old bench/baselines/BENCH_fig8.json --new build/BENCH_fig8.json \
+  --tolerance 0.0 --timing-tolerance 0.0
 
 echo "==> fuzz smoke: 8 seeds x 1500 iters per harness + differential oracle"
 # Deterministic structure-aware campaigns over the four wire-facing

@@ -1,6 +1,7 @@
 #include "core/node.hpp"
 
 #include <algorithm>
+#include <ranges>
 #include <unordered_map>
 
 #include "core/durable.hpp"
@@ -13,6 +14,17 @@ namespace bsnet {
 
 using bsproto::Message;
 using bsproto::MsgType;
+
+namespace {
+
+/// Unhooks the node's data sink and close callback; on_connected has
+/// already fired for every registered peer's connection.
+void DetachConn(TransportConn& conn) {
+  conn.SetDataSink(nullptr);
+  conn.on_closed = nullptr;
+}
+
+}  // namespace
 
 Node::Node(bsim::Scheduler& sched, bsim::Network& net, std::uint32_t ip,
            NodeConfig config, bsim::CpuModel* cpu)
@@ -182,26 +194,57 @@ void Node::Start() {
   MaintainOutbound();
 }
 
-void Node::Stop() {
-  maintenance_running_ = false;
-  transport_->StopListening(config_.listen_port);
-  // Detach connection callbacks before Abandon destroys the connection
-  // objects peers_ points into; a crash emits nothing on the wire and fires
-  // no close events.
-  for (auto& [id, peer] : peers_) {
-    if (peer->conn != nullptr) {
-      peer->conn->SetDataSink(nullptr);
-      peer->conn->on_closed = nullptr;
-      peer->conn->on_connected = nullptr;
+// ---------------------------------------------------------------------------
+// Peer lifetime
+
+auto Node::LivePeers() const {
+  return peers_ | std::views::values |
+         std::views::filter([](const std::unique_ptr<Peer>& p) { return !p->disconnect; }) |
+         std::views::transform([](const std::unique_ptr<Peer>& p) -> Peer& { return *p; });
+}
+
+Peer* Node::LivePeer(std::uint64_t id) const {
+  const auto it = peers_.find(id);
+  return it == peers_.end() || it->second->disconnect ? nullptr : it->second.get();
+}
+
+void Node::MarkDisconnect(Peer& peer, bool reset) {
+  if (peer.disconnect) return;
+  TransportConn* conn = peer.conn;
+  // Detach callbacks before resetting so the close event does not re-enter.
+  if (reset) DetachConn(*conn);
+  const bool was_outbound = !peer.inbound;
+  if (was_outbound) {
+    outbound_targets_.erase(peer.remote);
+    if (peer.feeler) {
+      // A feeler closing is the probe's normal end, not a failed slot.
+      feeler_targets_.erase(peer.remote);
+    } else {
+      NoteOutboundFailure(peer.remote);
     }
   }
-  peers_.clear();
-  pending_compact_.clear();
-  outbound_targets_.clear();
-  feeler_targets_.clear();
+  pending_compact_.erase(peer.id);
+  tracker_.Forget(peer.id);
+  partition_.ForgetPeer(peer.id);
+  peer.disconnect = true;
+  peer.conn = nullptr;
+  reap_.push_back(peer.id);
+  m_peers_gauge_->Set(static_cast<double>(peers_.size() - reap_.size()));
+  trace_.Record(Sched().Now(), bsobs::EventType::kPeerDisconnected, peer.id,
+                static_cast<std::int64_t>(peer.remote.ip), was_outbound ? 0 : 1);
+  if (reset) conn->Reset();
+}
+
+void Node::EndTurn() {
+  for (const std::uint64_t id : reap_) peers_.erase(id);
+  reap_.clear();
+}
+
+void Node::Stop() {
+  // A crash emits nothing on the wire and fires no close events; callbacks
+  // are detached before Abandon destroys the connections peers_ points into.
+  DropAllPeers(/*close=*/false);
   dial_backoff_.clear();
-  pending_outbound_ = 0;
-  pending_feeler_ = 0;
   stale_tip_extra_active_ = false;
   partition_.Reset();
   partition_probe_nonces_.clear();
@@ -209,35 +252,36 @@ void Node::Stop() {
   last_partition_probe_ = 0;
   last_partition_rotate_ = 0;
   partition_extra_active_ = false;
-  m_peers_gauge_->Set(0.0);
   transport_->Abandon();
 }
 
 void Node::Shutdown() {
+  // FIN each connection so the remote sees a clean goodbye instead of a
+  // dead-peer timeout.
+  DropAllPeers(/*close=*/true);
+  if (durable_ != nullptr) {
+    if (config_.enable_anchors) durable_->SetAnchors(anchors_);
+    durable_->Flush();
+  }
+}
+
+void Node::DropAllPeers(bool close) {
   maintenance_running_ = false;
   transport_->StopListening(config_.listen_port);
-  // Close peers politely: detach callbacks first so the closes cannot
-  // re-enter RemovePeer while we iterate, then FIN each connection so the
-  // remote sees a clean goodbye instead of a dead-peer timeout.
-  for (auto& [id, peer] : peers_) {
-    if (peer->conn != nullptr) {
-      peer->conn->SetDataSink(nullptr);
-      peer->conn->on_closed = nullptr;
-      peer->conn->on_connected = nullptr;
-      peer->conn->Close();
-    }
+  // Detach first so the closes cannot re-enter the node while we iterate.
+  for (const auto& [id, peer] : peers_) {
+    if (peer->conn == nullptr) continue;
+    DetachConn(*peer->conn);
+    if (close) peer->conn->Close();
   }
   peers_.clear();
+  reap_.clear();
   pending_compact_.clear();
   outbound_targets_.clear();
   feeler_targets_.clear();
   pending_outbound_ = 0;
   pending_feeler_ = 0;
   m_peers_gauge_->Set(0.0);
-  if (durable_ != nullptr) {
-    if (config_.enable_anchors) durable_->SetAnchors(anchors_);
-    durable_->Flush();
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -259,7 +303,10 @@ void Node::AcceptInbound(TransportConn& conn) {
     // slots cannot claim more through eviction. Without it, an evicted
     // Sybil reconnects within milliseconds, wins an eviction against its
     // own groupmate, and the resulting churn loop turns the handshake
-    // processing itself into the flood.
+    // processing itself into the flood. Eviction runs as its own turn, so
+    // the loser is freed before the newcomer registers and peers_ sees
+    // erase-then-insert (its iteration order, hence relay order, depends
+    // on that sequence).
     if (!config_.enable_eviction ||
         NewcomerGroupHoldsPlurality(NetGroup(conn.Remote().ip)) ||
         !EvictInboundPeer()) {
@@ -268,15 +315,15 @@ void Node::AcceptInbound(TransportConn& conn) {
       return;
     }
   }
+  TurnScope turn(*this);
   RegisterPeer(conn, /*inbound=*/true);
 }
 
 bool Node::NewcomerGroupHoldsPlurality(std::uint32_t group) const {
   std::size_t own = 0, best_other = 0;
   std::unordered_map<std::uint32_t, std::size_t> counts;
-  for (const auto& [id, peer] : peers_) {
-    if (!peer->inbound) continue;
-    ++counts[NetGroup(peer->remote.ip)];
+  for (const Peer& peer : LivePeers()) {
+    if (peer.inbound) ++counts[NetGroup(peer.remote.ip)];
   }
   for (const auto& [g, count] : counts) {
     if (g == group) {
@@ -289,30 +336,29 @@ bool Node::NewcomerGroupHoldsPlurality(std::uint32_t group) const {
 }
 
 bool Node::EvictInboundPeer() {
+  TurnScope turn(*this);
   std::vector<EvictionCandidate> candidates;
   candidates.reserve(peers_.size());
-  for (const auto& [id, peer] : peers_) {
-    if (!peer->inbound) continue;
-    candidates.push_back({id, peer->remote.ip, peer->connected_at,
-                          peer->min_ping_rtt, peer->last_block_time,
-                          peer->last_tx_time, tracker_.GoodScore(id)});
+  for (const Peer& peer : LivePeers()) {
+    if (!peer.inbound) continue;
+    candidates.push_back({peer.id, peer.remote.ip, peer.connected_at,
+                          peer.min_ping_rtt, peer.last_block_time,
+                          peer.last_tx_time, tracker_.GoodScore(peer.id)});
   }
-  const auto victim = SelectInboundPeerToEvict(std::move(candidates));
-  if (!victim) return false;
-  const auto it = peers_.find(*victim);
-  if (it == peers_.end()) return false;
+  const auto victim_id = SelectInboundPeerToEvict(std::move(candidates));
+  Peer* victim = victim_id ? LivePeer(*victim_id) : nullptr;
+  if (victim == nullptr) return false;
   m_evictions_->Inc();
-  trace_.Record(Sched().Now(), bsobs::EventType::kPeerEvicted, *victim,
-                static_cast<std::int64_t>(it->second->remote.ip),
-                static_cast<std::int64_t>(NetGroup(it->second->remote.ip)));
-  if (on_peer_evicted) on_peer_evicted(*it->second);
-  DisconnectPeer(*victim);
+  trace_.Record(Sched().Now(), bsobs::EventType::kPeerEvicted, victim->id,
+                static_cast<std::int64_t>(victim->remote.ip),
+                static_cast<std::int64_t>(NetGroup(victim->remote.ip)));
+  if (on_peer_evicted) on_peer_evicted(*victim);
+  MarkDisconnect(*victim, /*reset=*/true);
   return true;
 }
 
 void Node::FlagPeer(std::uint64_t id, bool low_priority) {
-  const auto it = peers_.find(id);
-  if (it != peers_.end()) it->second->detect_flagged = low_priority;
+  if (Peer* peer = LivePeer(id)) peer->detect_flagged = low_priority;
 }
 
 PeerPriority Node::PriorityOf(const Peer& peer) const {
@@ -356,6 +402,7 @@ bool Node::ConnectTo(const Endpoint& remote, bool feeler) {
   // Handshake completion is event-driven; the SYN cannot be answered before
   // we return, so wiring the callback after Connect() is race-free.
   conn->on_connected = [this, conn, remote, feeler](bool ok) {
+    TurnScope turn(*this);
     --pending_outbound_;
     if (feeler) --pending_feeler_;
     if (!ok) {
@@ -393,70 +440,44 @@ Peer& Node::RegisterPeer(TransportConn& conn, bool inbound, bool feeler) {
   }
   Peer* raw = peer.get();
   peers_.emplace(id, std::move(peer));
-  m_peers_gauge_->Set(static_cast<double>(peers_.size()));
+  m_peers_gauge_->Set(static_cast<double>(peers_.size() - reap_.size()));
   trace_.Record(Sched().Now(), bsobs::EventType::kPeerConnected, id,
                 static_cast<std::int64_t>(raw->remote.ip), inbound ? 1 : 0);
 
   conn.SetDataSink([this, id](bsutil::ByteSpan data) { OnData(id, data); });
-  conn.on_closed = [this, id, inbound]() { RemovePeer(id, /*was_outbound=*/!inbound); };
+  conn.on_closed = [this, id]() {
+    TurnScope turn(*this);
+    if (Peer* peer = LivePeer(id)) MarkDisconnect(*peer, /*reset=*/false);
+  };
 
   // Stalled-handshake watchdog: peer ids are never reused, so a timer whose
   // peer has already departed (or completed the handshake) is a no-op.
   if (config_.handshake_timeout > 0) {
     Sched().After(config_.handshake_timeout, [this, id]() {
-      const auto it = peers_.find(id);
-      if (it == peers_.end() || it->second->HandshakeComplete()) return;
+      TurnScope turn(*this);
+      Peer* peer = LivePeer(id);
+      if (peer == nullptr || peer->HandshakeComplete()) return;
       m_handshake_timeouts_->Inc();
-      DisconnectPeer(id);
+      MarkDisconnect(*peer, /*reset=*/true);
     });
   }
   return *raw;
 }
 
-void Node::RemovePeer(std::uint64_t id, bool was_outbound) {
-  const auto it = peers_.find(id);
-  if (it == peers_.end()) return;
-  if (was_outbound) {
-    outbound_targets_.erase(it->second->remote);
-    if (it->second->feeler) {
-      // A feeler closing is the probe's normal end, not a failed slot.
-      feeler_targets_.erase(it->second->remote);
-    } else {
-      NoteOutboundFailure(it->second->remote);
-    }
-  }
-  pending_compact_.erase(id);
-  tracker_.Forget(id);
-  partition_.ForgetPeer(id);
-  const std::int64_t remote_ip = static_cast<std::int64_t>(it->second->remote.ip);
-  peers_.erase(it);
-  m_peers_gauge_->Set(static_cast<double>(peers_.size()));
-  trace_.Record(Sched().Now(), bsobs::EventType::kPeerDisconnected, id, remote_ip,
-                was_outbound ? 0 : 1);
-}
-
 void Node::DisconnectPeer(std::uint64_t id) {
-  const auto it = peers_.find(id);
-  if (it == peers_.end()) return;
-  TransportConn* conn = it->second->conn;
-  const bool was_outbound = !it->second->inbound;
-  // Detach callbacks before resetting so the close event does not re-enter.
-  conn->SetDataSink(nullptr);
-  conn->on_closed = nullptr;
-  RemovePeer(id, was_outbound);
-  conn->Reset();
+  TurnScope turn(*this);
+  if (Peer* peer = LivePeer(id)) MarkDisconnect(*peer, /*reset=*/true);
 }
 
 void Node::DropAndRebuildConnections() {
-  std::vector<std::uint64_t> ids;
-  ids.reserve(peers_.size());
-  for (const auto& [id, peer] : peers_) ids.push_back(id);
-  for (std::uint64_t id : ids) DisconnectPeer(id);
+  TurnScope turn(*this);
+  for (Peer& peer : LivePeers()) MarkDisconnect(peer, /*reset=*/true);
   // MaintainOutbound refills on its next tick.
 }
 
 void Node::MaintainOutbound() {
   if (!maintenance_running_) return;
+  TurnScope turn(*this);
   const bsim::SimTime now = Sched().Now();
   banman_.SweepExpired(now);
 
@@ -475,31 +496,33 @@ void Node::MaintainOutbound() {
   // Keepalive and inactivity handling (all opt-in via config).
   if (config_.ping_interval > 0 || config_.inactivity_timeout > 0 ||
       config_.ping_timeout > 0) {
-    std::vector<std::uint64_t> to_disconnect;
-    for (auto& [id, peer] : peers_) {
-      if (!peer->HandshakeComplete()) continue;
-      if (config_.inactivity_timeout > 0 && peer->last_recv_time > 0 &&
-          now - peer->last_recv_time >= config_.inactivity_timeout) {
-        to_disconnect.push_back(id);
-        continue;
-      }
-      // Dead-peer detection: an outstanding PING unanswered past the
-      // timeout means the far side is gone (crashed, partitioned) even if
-      // other traffic kept inactivity_timeout from firing.
-      if (config_.ping_timeout > 0 && peer->outstanding_ping_nonce != 0 &&
-          now - peer->last_ping_sent >= config_.ping_timeout) {
-        m_dead_peer_disconnects_->Inc();
-        to_disconnect.push_back(id);
-        continue;
-      }
+    const auto inactive = [&](const Peer& peer) {
+      return config_.inactivity_timeout > 0 && peer.last_recv_time > 0 &&
+             now - peer.last_recv_time >= config_.inactivity_timeout;
+    };
+    // Dead-peer detection: an outstanding PING unanswered past the timeout
+    // means the far side is gone (crashed, partitioned) even if other
+    // traffic kept inactivity_timeout from firing.
+    const auto dead = [&](const Peer& peer) {
+      return config_.ping_timeout > 0 && peer.outstanding_ping_nonce != 0 &&
+             now - peer.last_ping_sent >= config_.ping_timeout;
+    };
+    // PINGs go out before any expired peer is dropped. A PING never expires
+    // its target, so the second pass sees exactly the peers the first skipped.
+    for (Peer& peer : LivePeers()) {
+      if (!peer.HandshakeComplete() || inactive(peer) || dead(peer)) continue;
       if (config_.ping_interval > 0 &&
-          now - peer->last_ping_sent >= config_.ping_interval) {
-        peer->outstanding_ping_nonce = rng_.Next() | 1;  // never 0
-        peer->last_ping_sent = now;
-        SendTo(*peer, bsproto::PingMsg{peer->outstanding_ping_nonce});
+          now - peer.last_ping_sent >= config_.ping_interval) {
+        peer.outstanding_ping_nonce = rng_.Next() | 1;  // never 0
+        peer.last_ping_sent = now;
+        SendTo(peer, bsproto::PingMsg{peer.outstanding_ping_nonce});
       }
     }
-    for (std::uint64_t id : to_disconnect) DisconnectPeer(id);
+    for (Peer& peer : LivePeers()) {
+      if (!peer.HandshakeComplete() || !(inactive(peer) || dead(peer))) continue;
+      if (!inactive(peer)) m_dead_peer_disconnects_->Inc();
+      MarkDisconnect(peer, /*reset=*/true);
+    }
   }
 
   MaintainStaleTip(now);
@@ -595,17 +618,22 @@ void Node::MaintainFeeler(bsim::SimTime now) {
   select_probe.Stop();
   if (!candidate) return;
   last_feeler_time_ = now;
-  const Endpoint remote = *candidate;
-  if (!ConnectTo(remote, /*feeler=*/true)) return;
+  LaunchFeeler(*candidate, now);
+}
+
+bool Node::LaunchFeeler(const Endpoint& remote, bsim::SimTime now) {
+  if (!ConnectTo(remote, /*feeler=*/true)) return false;
   m_feeler_attempts_->Inc();
   trace_.Record(now, bsobs::EventType::kFeelerProbe, 0,
                 static_cast<std::int64_t>(remote.ip), remote.port);
-  // Reap a probe that neither completed (OnOutboundHandshakeComplete closes
+  // Drop a probe that neither completed (OnOutboundHandshakeComplete closes
   // it) nor died on its own.
   Sched().After(config_.feeler_timeout, [this, remote]() {
+    TurnScope turn(*this);
     Peer* peer = FindPeerByRemote(remote);
-    if (peer != nullptr && peer->feeler) DisconnectPeer(peer->id);
+    if (peer != nullptr && peer->feeler) MarkDisconnect(*peer, /*reset=*/true);
   });
+  return true;
 }
 
 void Node::MaintainPartition(bsim::SimTime now) {
@@ -614,9 +642,9 @@ void Node::MaintainPartition(bsim::SimTime now) {
   // Diversity census over the live outbound set (the monitor keeps the
   // watermark; a routing cut shears whole netgroups off at once).
   std::unordered_set<std::uint32_t> groups;
-  for (const auto& [id, peer] : peers_) {
-    if (peer->inbound || peer->feeler || !peer->HandshakeComplete()) continue;
-    groups.insert(NetGroup(peer->remote.ip));
+  for (const Peer& peer : LivePeers()) {
+    if (peer.inbound || peer.feeler || !peer.HandshakeComplete()) continue;
+    groups.insert(NetGroup(peer.remote.ip));
   }
   partition_.NoteNetgroupDiversity(groups.size());
 
@@ -677,9 +705,8 @@ bsproto::TipProbeMsg Node::MakeTipProbe(std::uint64_t nonce) const {
 
 void Node::SendTipProbes(bsim::SimTime now) {
   std::vector<Peer*> candidates;
-  for (auto& [id, peer] : peers_) {
-    if (!peer->HandshakeComplete() || peer->feeler) continue;
-    candidates.push_back(peer.get());
+  for (Peer& peer : LivePeers()) {
+    if (peer.HandshakeComplete() && !peer.feeler) candidates.push_back(&peer);
   }
   if (candidates.empty()) return;
   last_partition_probe_ = now;
@@ -738,11 +765,10 @@ void Node::RunPartitionStage(PartitionMonitor::Stage stage, bsim::SimTime now) {
       // Rotate out the outbound peer whose probed tip trails ours the most:
       // it is the one most certainly stuck on our side of the cut, and its
       // slot is worth a fresh draw.
-      const auto victim = partition_.MostDivergentPeer(chain_.TipHeight());
-      if (!victim) return;
-      const auto it = peers_.find(*victim);
-      if (it == peers_.end() || it->second->inbound || it->second->feeler) return;
-      DisconnectPeer(*victim);
+      const auto victim_id = partition_.MostDivergentPeer(chain_.TipHeight());
+      Peer* victim = victim_id ? LivePeer(*victim_id) : nullptr;
+      if (victim == nullptr || victim->inbound || victim->feeler) return;
+      MarkDisconnect(*victim, /*reset=*/true);
       return;
     }
   }
@@ -756,17 +782,7 @@ bool Node::LaunchTargetedFeeler(bsim::SimTime now) {
            !OutboundGroupTaken(NetGroup(ep.ip));
   });
   select_probe.Stop();
-  if (!candidate) return false;
-  const Endpoint remote = *candidate;
-  if (!ConnectTo(remote, /*feeler=*/true)) return false;
-  m_feeler_attempts_->Inc();
-  trace_.Record(now, bsobs::EventType::kFeelerProbe, 0,
-                static_cast<std::int64_t>(remote.ip), remote.port);
-  Sched().After(config_.feeler_timeout, [this, remote]() {
-    Peer* peer = FindPeerByRemote(remote);
-    if (peer != nullptr && peer->feeler) DisconnectPeer(peer->id);
-  });
-  return true;
+  return candidate && LaunchFeeler(*candidate, now);
 }
 
 void Node::HandleTipProbe(Peer& peer, const bsproto::TipProbeMsg& msg) {
@@ -787,19 +803,18 @@ void Node::HandleTipProbe(Peer& peer, const bsproto::TipProbeMsg& msg) {
   SendTo(peer, MakeTipProbe(msg.nonce));
 }
 
-bool Node::OnOutboundHandshakeComplete(Peer& peer) {
+void Node::OnOutboundHandshakeComplete(Peer& peer) {
   dial_backoff_.erase(peer.remote);
   const bool promoted = addrman_.Good(peer.remote, Sched().Now());
-  if (!peer.feeler) return false;
+  if (!peer.feeler) return;
   if (promoted) m_feeler_promotions_->Inc();
-  DisconnectPeer(peer.id);  // probe answered; the session has no other job
-  return true;
+  // Probe answered; the session has no other job.
+  MarkDisconnect(peer, /*reset=*/true);
 }
 
 bool Node::OutboundGroupTaken(std::uint32_t group) const {
-  for (const auto& [id, peer] : peers_) {
-    if (peer->inbound || peer->feeler) continue;
-    if (NetGroup(peer->remote.ip) == group) return true;
+  for (const Peer& peer : LivePeers()) {
+    if (!peer.inbound && !peer.feeler && NetGroup(peer.remote.ip) == group) return true;
   }
   // In-flight dials hold their group too, or two same-group dials could race
   // past the constraint in one tick.
@@ -823,29 +838,27 @@ void Node::UpdateAnchors(const Endpoint& remote) {
 
 void Node::EvictWorstOutboundPeer() {
   if (OutboundCount() <= static_cast<std::size_t>(config_.target_outbound)) return;
-  const Peer* worst = nullptr;
-  for (const auto& [id, peer] : peers_) {
-    if (peer->inbound || peer->feeler || !peer->HandshakeComplete()) continue;
-    if (peer->last_block_time != 0) continue;  // it has delivered; keep it
-    if (worst == nullptr || peer->connected_at < worst->connected_at) {
-      worst = peer.get();
-    }
+  Peer* worst = nullptr;
+  for (Peer& peer : LivePeers()) {
+    if (peer.inbound || peer.feeler || !peer.HandshakeComplete()) continue;
+    if (peer.last_block_time != 0) continue;  // it has delivered; keep it
+    if (worst == nullptr || peer.connected_at < worst->connected_at) worst = &peer;
   }
   if (worst == nullptr) {
     // Every outbound peer has delivered at least one block. Without a
     // fallback the emergency slot would never be reclaimed here and each
     // stale-tip/partition episode would ratchet the outbound count up by
     // one for good; retire the least-recently-useful peer instead.
-    for (const auto& [id, peer] : peers_) {
-      if (peer->inbound || peer->feeler || !peer->HandshakeComplete()) continue;
-      if (worst == nullptr || peer->last_block_time < worst->last_block_time ||
-          (peer->last_block_time == worst->last_block_time &&
-           peer->connected_at < worst->connected_at)) {
-        worst = peer.get();
+    for (Peer& peer : LivePeers()) {
+      if (peer.inbound || peer.feeler || !peer.HandshakeComplete()) continue;
+      if (worst == nullptr || peer.last_block_time < worst->last_block_time ||
+          (peer.last_block_time == worst->last_block_time &&
+           peer.connected_at < worst->connected_at)) {
+        worst = &peer;
       }
     }
   }
-  if (worst != nullptr) DisconnectPeer(worst->id);
+  if (worst != nullptr) MarkDisconnect(*worst, /*reset=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -898,45 +911,39 @@ bool Node::DialAllowed(const Endpoint& remote, bsim::SimTime now) const {
 }
 
 std::size_t Node::InboundCount() const {
-  std::size_t n = 0;
-  for (const auto& [id, peer] : peers_) n += peer->inbound ? 1 : 0;
-  return n;
+  return static_cast<std::size_t>(
+      std::ranges::count_if(LivePeers(), [](const Peer& p) { return p.inbound; }));
 }
 
 std::size_t Node::OutboundCount() const {
-  std::size_t n = 0;
-  for (const auto& [id, peer] : peers_) {
-    n += (!peer->inbound && !peer->feeler) ? 1 : 0;
-  }
-  return n;
+  return static_cast<std::size_t>(std::ranges::count_if(
+      LivePeers(), [](const Peer& p) { return !p.inbound && !p.feeler; }));
 }
 
 std::vector<const Peer*> Node::Peers() const {
   std::vector<const Peer*> out;
   out.reserve(peers_.size());
-  for (const auto& [id, peer] : peers_) out.push_back(peer.get());
+  for (const Peer& peer : LivePeers()) out.push_back(&peer);
   return out;
 }
 
 Peer* Node::FindPeerByRemote(const Endpoint& remote) {
-  for (auto& [id, peer] : peers_) {
-    if (peer->remote == remote) return peer.get();
+  for (Peer& peer : LivePeers()) {
+    if (peer.remote == remote) return &peer;
   }
   return nullptr;
 }
 
-const Peer* Node::FindPeerById(std::uint64_t id) const {
-  const auto it = peers_.find(id);
-  return it == peers_.end() ? nullptr : it->second.get();
-}
+const Peer* Node::FindPeerById(std::uint64_t id) const { return LivePeer(id); }
 
 // ---------------------------------------------------------------------------
 // Receive pipeline
 
 void Node::OnData(std::uint64_t peer_id, bsutil::ByteSpan data) {
-  auto it = peers_.find(peer_id);
-  if (it == peers_.end()) return;
-  Peer& peer = *it->second;
+  TurnScope turn(*this);
+  Peer* found = LivePeer(peer_id);
+  if (found == nullptr) return;
+  Peer& peer = *found;
   peer.rx_buffer.insert(peer.rx_buffer.end(), data.begin(), data.end());
   peer.bytes_received += data.size();
   m_rx_bytes_total_->Inc(data.size());
@@ -956,31 +963,24 @@ void Node::OnData(std::uint64_t peer_id, bsutil::ByteSpan data) {
                   static_cast<std::int64_t>(excess));
   }
 
+  // `peer` outlives this call: a ban only marks it, and the turn opened
+  // above frees it. A marked peer gets no further frames.
   std::size_t offset = 0;
-  while (true) {
-    // The peer may be banned (destroyed) by frame processing; re-validate.
-    auto it2 = peers_.find(peer_id);
-    if (it2 == peers_.end()) return;
-    Peer& live = *it2->second;
-
-    const bsutil::ByteSpan rest(live.rx_buffer.data() + offset,
-                                live.rx_buffer.size() - offset);
+  while (!peer.disconnect) {
+    const bsutil::ByteSpan rest(peer.rx_buffer.data() + offset,
+                                peer.rx_buffer.size() - offset);
     bsobs::ScopedProbe decode_probe(profiler_, bsobs::HotStage::kCodecDecode);
     const bsproto::DecodeResult frame =
         bsproto::DecodeMessage(config_.chain.magic, rest);
     decode_probe.Stop();
     if (frame.consumed == 0) break;  // incomplete frame
-    const std::uint64_t frame_start = live.rx_stream_base + offset;
+    const std::uint64_t frame_start = peer.rx_stream_base + offset;
     offset += frame.consumed;
-    ProcessFrame(live, frame, frame_start);
+    ProcessFrame(peer, frame, frame_start);
   }
-
-  auto it3 = peers_.find(peer_id);
-  if (it3 == peers_.end()) return;
-  Peer& drained = *it3->second;
-  drained.rx_buffer.erase(drained.rx_buffer.begin(),
-                          drained.rx_buffer.begin() + static_cast<std::ptrdiff_t>(offset));
-  drained.rx_stream_base += offset;
+  peer.rx_buffer.erase(peer.rx_buffer.begin(),
+                       peer.rx_buffer.begin() + static_cast<std::ptrdiff_t>(offset));
+  peer.rx_stream_base += offset;
 }
 
 void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
@@ -1171,7 +1171,7 @@ bool Node::AdmitFrame(Peer& peer, const bsproto::DecodeResult& frame,
   return false;
 }
 
-bool Node::ApplyMisbehavior(Peer& peer, Misbehavior what) {
+void Node::ApplyMisbehavior(Peer& peer, Misbehavior what) {
   // Partition-aware damping: while partition suspicion is high, behind/ahead
   // symptoms — a block whose parent we lack, a disordered header burst — from
   // a peer holding good-score credit are exactly what an honest peer across a
@@ -1199,7 +1199,7 @@ bool Node::ApplyMisbehavior(Peer& peer, Misbehavior what) {
       m_partition_deferred_penalties_->Inc();
       trace_.Record(now, bsobs::EventType::kPenaltyDeferred, peer.id,
                     static_cast<std::int64_t>(what), tracker_.GoodScore(peer.id));
-      return false;
+      return;
     }
   }
   bsobs::ScopedProbe tracker_probe(profiler_, bsobs::HotStage::kTrackerUpdate);
@@ -1227,7 +1227,7 @@ bool Node::ApplyMisbehavior(Peer& peer, Misbehavior what) {
                   outcome.score_delta, outcome.total_score);
     if (on_misbehavior) on_misbehavior(peer, what, outcome);
   }
-  if (!outcome.should_ban) return false;
+  if (!outcome.should_ban) return;
 
   m_peers_banned_->Inc();
   if (config_.use_discouragement) {
@@ -1257,8 +1257,7 @@ bool Node::ApplyMisbehavior(Peer& peer, Misbehavior what) {
     tracer_->Log().Record(rec);
   }
   if (on_peer_banned) on_peer_banned(peer);
-  DisconnectPeer(peer.id);  // destroys `peer`
-  return true;
+  MarkDisconnect(peer, /*reset=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -1401,24 +1400,20 @@ void Node::HandleVersion(Peer& peer, const bsproto::VersionMsg& msg) {
     SendTo(peer, MakeVersionMsg(peer));
   }
   SendTo(peer, bsproto::VerackMsg{});
-  // A completed outbound handshake proves the endpoint healthy again (and,
-  // for a feeler, ends the probe — the peer is destroyed).
-  if (!peer.inbound && peer.HandshakeComplete() && OnOutboundHandshakeComplete(peer)) {
-    return;
-  }
 }
 
 void Node::HandleVerack(Peer& peer) {
   peer.got_verack = true;
-  if (!peer.inbound && peer.HandshakeComplete() && OnOutboundHandshakeComplete(peer)) {
-    return;  // feeler probe finished; the session is gone
-  }
+  if (peer.inbound) return;
+  // ProcessMessage only admits VERACK after VERSION, so this is where every
+  // outbound handshake completes: proof the endpoint is healthy again (and,
+  // for a feeler, the end of the probe).
+  OnOutboundHandshakeComplete(peer);
+  if (peer.disconnect) return;  // feeler probe finished
   // Outbound peers open header sync once the session is up.
-  if (!peer.inbound) {
-    bsproto::GetHeadersMsg gh;
-    gh.locator = chain_.GetLocator();
-    SendTo(peer, gh);
-  }
+  bsproto::GetHeadersMsg gh;
+  gh.locator = chain_.GetLocator();
+  SendTo(peer, gh);
 }
 
 // ---------------------------------------------------------------------------
@@ -1592,7 +1587,7 @@ void Node::HandleTx(Peer& peer, const bsproto::TxMsg& msg) {
   switch (result) {
     case bschain::TxResult::kOk:
       peer.last_tx_time = Sched().Now();  // eviction protection tier 3
-      if (config_.relay) RelayTxInv(msg.tx.Txid(), peer.id);
+      if (config_.relay) RelayInv(bsproto::InvType::kTx, msg.tx.Txid(), peer.id);
       return;
     case bschain::TxResult::kSegwitInvalid:
       ApplyMisbehavior(peer, Misbehavior::kTxSegwitInvalid);
@@ -1612,7 +1607,7 @@ void Node::AcceptBlockFrom(Peer& peer, const bschain::Block& block) {
       peer.last_block_time = Sched().Now();  // eviction protection tier 4
       if (!peer.inbound && !peer.feeler) UpdateAnchors(peer.remote);
       if (on_block_accepted) on_block_accepted(block);
-      if (config_.relay) RelayBlockInv(block.Hash(), peer.id);
+      if (config_.relay) RelayInv(bsproto::InvType::kBlock, block.Hash(), peer.id);
       return;
     case bschain::BlockResult::kDuplicate:
       return;
@@ -1745,6 +1740,7 @@ void Node::HandleMempool(Peer& peer) {
 // Sending / relay / mining
 
 void Node::SendTo(Peer& peer, const Message& msg) {
+  TurnScope turn(*this);
   if (peer.conn == nullptr || !peer.conn->IsEstablished()) return;
   const bsutil::ByteVec bytes = bsproto::EncodeMessage(config_.chain.magic, msg);
   if (tracer_ != nullptr) {
@@ -1798,39 +1794,32 @@ void Node::RecordSpan(bsobs::SpanKind kind, const Peer& peer,
 }
 
 bool Node::SendToRemoteIp(std::uint32_t ip, const Message& msg) {
-  for (auto& [id, peer] : peers_) {
-    if (peer->remote.ip == ip && peer->HandshakeComplete()) {
-      SendTo(*peer, msg);
+  for (Peer& peer : LivePeers()) {
+    if (peer.remote.ip == ip && peer.HandshakeComplete()) {
+      SendTo(peer, msg);
       return true;
     }
   }
   return false;
 }
 
-void Node::RelayBlockInv(const bscrypto::Hash256& hash, std::uint64_t except_peer) {
+void Node::RelayInv(bsproto::InvType type, const bscrypto::Hash256& hash,
+                    std::uint64_t except_peer) {
   bsproto::InvMsg inv;
-  inv.inventory.push_back({bsproto::InvType::kBlock, hash});
-  for (auto& [id, peer] : peers_) {
-    if (id == except_peer || !peer->HandshakeComplete()) continue;
-    SendTo(*peer, inv);
-  }
-}
-
-void Node::RelayTxInv(const bscrypto::Hash256& txid, std::uint64_t except_peer) {
-  bsproto::InvMsg inv;
-  inv.inventory.push_back({bsproto::InvType::kTx, txid});
-  for (auto& [id, peer] : peers_) {
-    if (id == except_peer || !peer->HandshakeComplete()) continue;
+  inv.inventory.push_back({type, hash});
+  for (Peer& peer : LivePeers()) {
+    if (peer.id == except_peer || !peer.HandshakeComplete()) continue;
     // BIP-37: SPV peers only hear about transactions their filter matches.
-    if (peer->filter) {
-      const auto tx = mempool_.Get(txid);
-      if (!tx || !peer->filter->MatchesTx(*tx)) continue;
+    if (type == bsproto::InvType::kTx && peer.filter) {
+      const auto tx = mempool_.Get(hash);
+      if (!tx || !peer.filter->MatchesTx(*tx)) continue;
     }
-    SendTo(*peer, inv);
+    SendTo(peer, inv);
   }
 }
 
 std::optional<bschain::Block> Node::MineAndRelay() {
+  TurnScope turn(*this);
   bschain::Block tmpl = bschain::BuildBlockTemplate(
       chain_.TipHash(), static_cast<std::uint32_t>(Sched().Now() / bsim::kSecond),
       mempool_.CollectForBlock(1000), config_.chain, mining_extra_nonce_++);
@@ -1838,7 +1827,7 @@ std::optional<bschain::Block> Node::MineAndRelay() {
   if (!block) return std::nullopt;
   if (chain_.AcceptBlock(*block) != bschain::BlockResult::kOk) return std::nullopt;
   if (on_block_accepted) on_block_accepted(*block);
-  RelayBlockInv(block->Hash(), /*except_peer=*/0);
+  RelayInv(bsproto::InvType::kBlock, block->Hash(), /*except_peer=*/0);
   return block;
 }
 

@@ -253,7 +253,8 @@ struct Peer {
   /// Short-lived probe session (does not fill an outbound slot): the
   /// handshake is the whole point, the connection closes right after.
   bool feeler = false;
-  TransportConn* conn = nullptr;
+  TransportConn* conn = nullptr;  // null once marked for disconnect
+  bool disconnect = false;  // marked: hidden from peer queries, freed at turn end
 
   // Handshake state machine.
   bool got_version = false;
@@ -370,10 +371,12 @@ class Node {
   std::size_t InboundCount() const;
   /// Full outbound slots (feeler probes excluded).
   std::size_t OutboundCount() const;
+  /// Peer queries see only live peers, never ones marked for disconnect.
   std::vector<const Peer*> Peers() const;
   Peer* FindPeerByRemote(const Endpoint& remote);
   const Peer* FindPeerById(std::uint64_t id) const;
-  /// Disconnect (RST) a peer; does not ban.
+  /// Disconnect (RST) a peer; does not ban. The Peer is freed at the end of
+  /// the current turn (immediately when called from outside one).
   void DisconnectPeer(std::uint64_t id);
   /// Detection response: drop every connection and rebuild outbound slots.
   void DropAndRebuildConnections();
@@ -487,10 +490,31 @@ class Node {
   Node(bsim::Scheduler& sched, std::unique_ptr<Transport> owned,
        Transport* external, NodeConfig config, bsim::CpuModel* cpu);
 
+  // ---- Peer lifetime ----
+  // A disconnect only marks the Peer; EndTurn frees it once the outermost
+  // TurnScope exits. Every entry point into the node (transport callbacks,
+  // scheduler timers, public mutators) opens a TurnScope, so no Peer& held
+  // anywhere on the stack can dangle.
+  struct TurnScope {
+    explicit TurnScope(Node& n) : node(n) { ++node.turn_depth_; }
+    TurnScope(const TurnScope&) = delete;
+    ~TurnScope() { if (--node.turn_depth_ == 0) node.EndTurn(); }
+    Node& node;
+  };
+  void EndTurn();
+  /// A disconnect minus the free: slot/backoff accounting, tracker and
+  /// partition state, the trace record. `reset`: the node initiated it
+  /// (detach the callbacks, then RST); false: the transport reported it.
+  void MarkDisconnect(Peer& peer, bool reset);
+  /// Unmarked peers in peers_ order (defined in node.cpp), and by id.
+  auto LivePeers() const;
+  Peer* LivePeer(std::uint64_t id) const;
+
   void AcceptInbound(TransportConn& conn);
   Peer& RegisterPeer(TransportConn& conn, bool inbound, bool feeler = false);
-  void RemovePeer(std::uint64_t id, bool was_outbound);
   void MaintainOutbound();
+  /// Stop()/Shutdown() common part; `close` FINs each connection.
+  void DropAllPeers(bool close);
 
   // ---- Eclipse-resilience maintenance (all gated on their config switches) ----
   /// Track tip progress; flag a stale tip (extra outbound wanted) and, when
@@ -498,6 +522,8 @@ class Node {
   void MaintainStaleTip(bsim::SimTime now);
   /// Launch one feeler probe per feeler_interval against a `new`-table entry.
   void MaintainFeeler(bsim::SimTime now);
+  /// Dial a feeler probe to `remote` and arm its timeout.
+  bool LaunchFeeler(const Endpoint& remote, bsim::SimTime now);
 
   // ---- Partition-resilience maintenance (gated on
   // enable_partition_resilience) ----
@@ -517,8 +543,8 @@ class Node {
   void HandleTipProbe(Peer& peer, const bsproto::TipProbeMsg& msg);
   /// Outbound handshake just completed: clear backoff, mark the address
   /// Good(). For a feeler the probe is finished — count the promotion and
-  /// close the session. Returns true when `peer` was destroyed.
-  bool OnOutboundHandshakeComplete(Peer& peer);
+  /// close the session.
+  void OnOutboundHandshakeComplete(Peer& peer);
   /// True when an outbound slot (live or dialing, feelers excluded) already
   /// belongs to `group` — the netgroup-uniqueness constraint.
   bool OutboundGroupTaken(std::uint32_t group) const;
@@ -566,8 +592,7 @@ class Node {
                   std::uint8_t flags, std::int64_t a, std::int64_t b);
 
   /// Apply a misbehavior; bans and disconnects on threshold per policy.
-  /// Returns true when the peer was banned (and destroyed).
-  bool ApplyMisbehavior(Peer& peer, Misbehavior what);
+  void ApplyMisbehavior(Peer& peer, Misbehavior what);
 
   // Per-type handlers.
   void HandleVersion(Peer& peer, const bsproto::VersionMsg& msg);
@@ -589,8 +614,8 @@ class Node {
   void HandleGetBlocks(Peer& peer, const bsproto::GetBlocksMsg& msg);
 
   void AcceptBlockFrom(Peer& peer, const bschain::Block& block);
-  void RelayBlockInv(const bscrypto::Hash256& hash, std::uint64_t except_peer);
-  void RelayTxInv(const bscrypto::Hash256& txid, std::uint64_t except_peer);
+  void RelayInv(bsproto::InvType type, const bscrypto::Hash256& hash,
+                std::uint64_t except_peer);
   bsproto::VersionMsg MakeVersionMsg(const Peer& peer);
 
   bsim::Scheduler& sched_;
@@ -610,6 +635,9 @@ class Node {
 
   std::uint64_t next_peer_id_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<Peer>> peers_;
+  /// Ids marked for disconnect this turn; EndTurn erases them from peers_.
+  std::vector<std::uint64_t> reap_;
+  int turn_depth_ = 0;
   std::unordered_map<std::uint64_t, bsproto::CmpctBlockMsg> pending_compact_;
   /// Endpoints with an outbound connection open or being opened (prevents
   /// duplicate dials while a handshake is in flight).

@@ -343,12 +343,10 @@ void RealTransport::FlushQueue(RealConn& conn) {
     }
     if (n == -EINTR) continue;
     if (n < 0) {
-      // EPIPE/ECONNRESET: the peer is gone — but never tear down from here.
-      // FlushQueue runs synchronously under RealConn::Send, i.e. from deep
-      // inside Node call stacks that are often mid-iteration over the peer
-      // table; on_closed re-enters Node and erases the peer under that
-      // iterator. Defer one loop turn, like graveyard deletion.
-      DeferTeardown(conn);
+      // EPIPE/ECONNRESET: the peer is gone. Under RealConn::Send this fires
+      // on_closed from inside Send(), which the TransportConn contract
+      // allows; the conn object itself survives in the graveyard.
+      Teardown(conn);
       return;
     }
     bytes_out_ += static_cast<std::uint64_t>(n);
@@ -367,26 +365,7 @@ void RealTransport::FlushQueue(RealConn& conn) {
   UpdateWriteInterest(conn);
 }
 
-void RealTransport::DeferTeardown(RealConn& conn) {
-  if (conn.teardown_deferred_ || conn.state_ != RealConn::State::kEstablished) {
-    return;
-  }
-  conn.teardown_deferred_ = true;
-  // Deregister now so a dead (possibly poisoned) fd cannot keep waking the
-  // loop — the conn stays in conns_ until the deferred event runs, so a
-  // Send() in the window just queues onto a socket that will never drain.
-  loop_.DelFd(conn.fd_);
-  const std::uint64_t id = conn.id_;
-  loop_.Sched().After(0, [this, id] {
-    const auto it = conns_.find(id);
-    // Close()/Reset() may have retired it first; ids are never reused.
-    if (it == conns_.end()) return;
-    Teardown(*it->second);
-  });
-}
-
 void RealTransport::UpdateWriteInterest(RealConn& conn) {
-  if (conn.teardown_deferred_) return;
   if (conn.state_ != RealConn::State::kEstablished) return;
   loop_.ModFd(conn.fd_,
               conn.write_queue_.empty() ? EPOLLIN : EPOLLIN | EPOLLOUT);

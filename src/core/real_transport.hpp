@@ -100,9 +100,6 @@ class RealConn final : public TransportConn {
   std::size_t recv_buffer_cap_;
 
   std::deque<Frame> write_queue_;
-  /// Set when a fatal send error was seen inside a synchronous Send() call
-  /// stack; the actual Teardown runs one loop turn later (see DeferTeardown).
-  bool teardown_deferred_ = false;
   std::size_t front_offset_ = 0;  // bytes of the front frame already sent
   std::size_t queued_bytes_ = 0;
   std::uint64_t frames_shed_ = 0;
@@ -165,10 +162,9 @@ class RealTransport : public Transport {
   void HandleConnEvents(std::uint64_t id, std::uint32_t events);
   void FinishConnect(RealConn& conn);
   void ReadReady(RealConn& conn);
+  /// Writes queued frames until EAGAIN; a fatal send error tears the conn
+  /// down synchronously (on_closed may fire from inside Send()).
   void FlushQueue(RealConn& conn);
-  /// Schedules Teardown for the next loop turn — the only safe reaction to a
-  /// fatal error discovered inside a synchronous Send() call stack.
-  void DeferTeardown(RealConn& conn);
   void UpdateWriteInterest(RealConn& conn);
   /// Fails a connecting conn: on_connected(false), then retire.
   void FailConnect(RealConn& conn);

@@ -34,6 +34,12 @@ class TransportConn {
   /// Fired when the peer (or the substrate) closes an established
   /// connection. Not fired for locally initiated Close()/Reset() calls
   /// made after the owner detached it.
+  ///
+  /// May fire synchronously from inside Send() or Close(): the simulator's
+  /// reliable-mode retransmit overflow resets the connection there, and
+  /// RealTransport tears down on a fatal write error there. The owner must
+  /// therefore not free anything its caller may still hold; Node only
+  /// marks the peer and frees it when its turn ends.
   std::function<void()> on_closed;
 
   virtual bsproto::Endpoint Local() const = 0;

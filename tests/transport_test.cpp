@@ -9,7 +9,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <memory>
 #include <vector>
 
 #include "core/event_loop.hpp"
@@ -351,6 +353,73 @@ TEST(RealTransportBackpressure, ShedsOldestWholeFramesAndDrainsIntactOnes) {
 
   real.CloseFd(peer_fd);
   real.CloseFd(listen_fd);
+}
+
+// ---------------------------------------------------------------------------
+// A fatal write error tears the connection down synchronously, inside the
+// Send() that hit it. The node only marks the peer from on_closed and frees
+// it when its turn ends, so a block relay that kills every connection it
+// writes to finishes cleanly within one loop pump.
+
+TEST(RealTransportSendFailure, BlockRelayTearsDownEachDeadPeerWithinThePump) {
+  for (const bool reset : {true, false}) {
+    SCOPED_TRACE(reset ? "ECONNRESET" : "EPIPE");
+    bsim::Scheduler sched;
+    EventLoop loop(sched);
+    bsim::RealSocketApi& real = bsim::RealSocketApi::Instance();
+    bsim::FaultSocketApi fault(real);
+
+    RealTransportConfig rt;
+    rt.bind_port = 0;
+    NodeConfig config;
+    config.listen_port = 0;
+    RealTransport hub_transport(loop, fault, rt);
+    Node hub(sched, hub_transport, config);
+    hub.Start();
+    const std::uint16_t port = hub_transport.BoundPort(0);
+    ASSERT_NE(port, 0);
+
+    constexpr std::size_t kLeaves = 3;
+    std::vector<std::unique_ptr<RealTransport>> leaf_transports;
+    std::vector<std::unique_ptr<Node>> leaves;
+    for (std::size_t i = 0; i < kLeaves; ++i) {
+      leaf_transports.push_back(std::make_unique<RealTransport>(loop, real, rt));
+      leaves.push_back(std::make_unique<Node>(sched, *leaf_transports.back(), config));
+      leaves.back()->Start();
+      ASSERT_TRUE(leaves.back()->ConnectTo({kLoopback, port}));
+    }
+    ASSERT_TRUE(PumpUntil(loop, [&] {
+      const auto peers = hub.Peers();
+      return peers.size() == kLeaves &&
+             std::all_of(peers.begin(), peers.end(),
+                         [](const Peer* p) { return p->HandshakeComplete(); });
+    })) << "handshakes never completed";
+
+    // From here on every hub write fails as if the peer had vanished.
+    bsim::FaultSocketFaults faults;
+    (reset ? faults.reset_rate : faults.epipe_rate) = 1.0;
+    fault.SetFaults(faults);
+    const std::uint64_t teardowns = hub_transport.Teardowns();
+    bool relayed = false;
+    sched.After(0, [&] { relayed = hub.MineAndRelay().has_value(); });
+    for (int i = 0; i < 100 && !relayed; ++i) loop.PumpOnce(10);
+    ASSERT_TRUE(relayed);
+    EXPECT_TRUE(hub.Peers().empty());
+    EXPECT_EQ(hub_transport.Teardowns(), teardowns + kLeaves);
+    EXPECT_EQ(hub_transport.ConnCount(), 0u);
+
+    // The leaves see the close; nobody is blamed, and nothing is torn down
+    // twice.
+    ASSERT_TRUE(PumpUntil(loop, [&] {
+      return std::all_of(leaves.begin(), leaves.end(),
+                         [](const auto& leaf) { return leaf->Peers().empty(); });
+    })) << "leaves never saw the teardown";
+    EXPECT_EQ(hub_transport.Teardowns(), teardowns + kLeaves);
+    EXPECT_EQ(hub.PeersBanned(), 0u);
+    for (const auto& leaf : leaves) EXPECT_EQ(leaf->PeersBanned(), 0u);
+    for (const auto& leaf : leaves) leaf->Shutdown();
+    hub.Shutdown();
+  }
 }
 
 // ---------------------------------------------------------------------------
