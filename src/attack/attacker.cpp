@@ -12,6 +12,7 @@ AttackSession* AttackerNode::OpenSession(const Endpoint& target, bool auto_hands
   AttackSession* raw = session.get();
   raw->id = next_session_id_++;
   raw->target = target;
+  raw->rx = bsproto::StreamDecoder(magic_);
   raw->auto_handshake = auto_handshake;
   raw->opened_at = Sched().Now();
   sessions_.push_back(std::move(session));
@@ -51,14 +52,9 @@ AttackSession* AttackerNode::OpenSession(const Endpoint& target, bool auto_hands
 }
 
 void AttackerNode::HandleSessionData(AttackSession& session, bsutil::ByteSpan data) {
-  session.rx_buffer.insert(session.rx_buffer.end(), data.begin(), data.end());
-  std::size_t offset = 0;
-  while (true) {
-    const bsutil::ByteSpan rest(session.rx_buffer.data() + offset,
-                                session.rx_buffer.size() - offset);
-    const bsproto::DecodeResult frame = bsproto::DecodeMessage(magic_, rest);
-    if (frame.consumed == 0) break;
-    offset += frame.consumed;
+  session.rx.Feed(data);
+  bsproto::DecodeResult frame;
+  while (session.rx.Next(frame)) {
     if (frame.status != bsproto::DecodeStatus::kOk) continue;
 
     if (session.on_message) session.on_message(session, frame.message);
@@ -86,8 +82,6 @@ void AttackerNode::HandleSessionData(AttackSession& session, bsutil::ByteSpan da
     }
     if (session.closed) break;
   }
-  session.rx_buffer.erase(session.rx_buffer.begin(),
-                          session.rx_buffer.begin() + static_cast<std::ptrdiff_t>(offset));
 }
 
 void AttackerNode::Send(AttackSession& session, const bsproto::Message& msg) {

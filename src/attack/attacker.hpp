@@ -35,7 +35,7 @@ struct AttackSession {
   std::uint64_t bytes_sent = 0;
   bsim::SimTime opened_at = 0;
   bsim::SimTime closed_at = 0;
-  bsutil::ByteVec rx_buffer;
+  bsproto::StreamDecoder rx{0};  // unbounded; OpenSession sets the magic
 
   /// Fired when the TCP connection is up (before the Bitcoin handshake).
   std::function<void(AttackSession&)> on_tcp_established;

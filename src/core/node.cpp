@@ -17,6 +17,13 @@ using bsproto::MsgType;
 
 namespace {
 
+/// Per-peer reassembly-buffer cap. Past it the peer's decoder sheds the
+/// oldest bytes and resynchronizes on the next header-complete outcome, so a
+/// flooding peer can never OOM the node. Generous on purpose: it exceeds the
+/// largest legal wire frame twice over, and reads arrive in 64 KiB chunks, so
+/// it only binds on a pathological single delivery.
+constexpr std::size_t kMaxRxBufferBytes = 8 * 1024 * 1024;
+
 /// Unhooks the node's data sink and close callback; on_connected has
 /// already fired for every registered peer's connection.
 void DetachConn(TransportConn& conn) {
@@ -428,6 +435,7 @@ Peer& Node::RegisterPeer(TransportConn& conn, bool inbound, bool feeler) {
   peer->feeler = feeler;
   peer->conn = &conn;
   peer->connected_at = Sched().Now();
+  peer->rx = bsproto::StreamDecoder(config_.chain.magic, kMaxRxBufferBytes);
   if (config_.enable_rate_limit) {
     // Newcomers open with one second of fill, not a full burst: eviction
     // churn must not mint fresh burst-sized credit for every Sybil rebirth.
@@ -944,43 +952,31 @@ void Node::OnData(std::uint64_t peer_id, bsutil::ByteSpan data) {
   Peer* found = LivePeer(peer_id);
   if (found == nullptr) return;
   Peer& peer = *found;
-  peer.rx_buffer.insert(peer.rx_buffer.end(), data.begin(), data.end());
   peer.bytes_received += data.size();
   m_rx_bytes_total_->Inc(data.size());
 
   // Overload shedding: a peer whose backlog outruns the decoder loses its
-  // oldest bytes. DecodeMessage consumes at least a header's worth on every
-  // header-complete outcome, so the stream resynchronizes (the sheared
-  // frames surface as bad-magic/malformed drops) instead of wedging.
-  if (config_.max_rx_buffer_bytes > 0 &&
-      peer.rx_buffer.size() > config_.max_rx_buffer_bytes) {
-    const std::size_t excess = peer.rx_buffer.size() - config_.max_rx_buffer_bytes;
-    peer.rx_buffer.erase(peer.rx_buffer.begin(),
-                         peer.rx_buffer.begin() + static_cast<std::ptrdiff_t>(excess));
-    peer.rx_stream_base += excess;  // the decoder's stream position skips them
-    m_rx_shed_bytes_->Inc(excess);
+  // oldest bytes. Every header-complete outcome consumes at least a header,
+  // so the stream resynchronizes (the sheared frames surface as
+  // bad-magic/malformed drops) instead of wedging.
+  const std::uint64_t shed_before = peer.rx.OverflowBytes();
+  peer.rx.Feed(data);
+  if (const std::uint64_t shed = peer.rx.OverflowBytes() - shed_before; shed > 0) {
+    m_rx_shed_bytes_->Inc(shed);
     trace_.Record(Sched().Now(), bsobs::EventType::kRxShed, peer_id,
-                  static_cast<std::int64_t>(excess));
+                  static_cast<std::int64_t>(shed));
   }
 
   // `peer` outlives this call: a ban only marks it, and the turn opened
   // above frees it. A marked peer gets no further frames.
-  std::size_t offset = 0;
-  while (!peer.disconnect) {
-    const bsutil::ByteSpan rest(peer.rx_buffer.data() + offset,
-                                peer.rx_buffer.size() - offset);
+  while (!peer.disconnect && peer.rx.BytesNeeded() == 0) {
+    const std::uint64_t frame_start = peer.rx.StreamPosition();
+    bsproto::DecodeResult frame;
     bsobs::ScopedProbe decode_probe(profiler_, bsobs::HotStage::kCodecDecode);
-    const bsproto::DecodeResult frame =
-        bsproto::DecodeMessage(config_.chain.magic, rest);
+    peer.rx.Next(frame);
     decode_probe.Stop();
-    if (frame.consumed == 0) break;  // incomplete frame
-    const std::uint64_t frame_start = peer.rx_stream_base + offset;
-    offset += frame.consumed;
     ProcessFrame(peer, frame, frame_start);
   }
-  peer.rx_buffer.erase(peer.rx_buffer.begin(),
-                       peer.rx_buffer.begin() + static_cast<std::ptrdiff_t>(offset));
-  peer.rx_stream_base += offset;
 }
 
 void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
@@ -1005,8 +1001,7 @@ void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
     ~RxCtxReset() { ctx = {}; }
   } rx_ctx_reset{rx_ctx_};
   bsobs::SpanClaim claim;
-  if (tracer_ != nullptr && frame.status != DecodeStatus::kNeedMoreData &&
-      peer.conn != nullptr) {
+  if (tracer_ != nullptr && peer.conn != nullptr) {
     const Endpoint remote = peer.conn->Remote();
     const Endpoint local = peer.conn->Local();
     claim = tracer_->ClaimFrame(
@@ -1034,57 +1029,47 @@ void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
     tracer_->Log().Record(rec);
   }
 
-  if (frame.status != DecodeStatus::kNeedMoreData) {
-    m_frame_bytes_->Observe(static_cast<double>(frame_bytes));
-    // Resource governance: the frame must fit the peer's token buckets and
-    // the global CPU budget *before* the payload is checksummed — shedding
-    // at the header peek is what keeps a flood off the CPU. The bytes stay
-    // visible to on_frame above (they did arrive on the wire, and the
-    // detect engine watches the wire).
-    if (!AdmitFrame(peer, frame, frame_bytes)) {
-      RecordSpan(bsobs::SpanKind::kShed, peer, -1, 0,
-                 static_cast<std::int64_t>(frame_bytes), 0);
-      return;
-    }
+  m_frame_bytes_->Observe(static_cast<double>(frame_bytes));
+  // Resource governance: the frame must fit the peer's token buckets and
+  // the global CPU budget before the modelled CPU is charged for its
+  // checksum — shedding here is what keeps a flood off the simulated CPU.
+  // The real payload hash has already run: DecodeMessage checksums the
+  // frame before the node sees it, on both transports. The bytes stay
+  // visible to on_frame above (they did arrive on the wire, and the detect
+  // engine watches the wire).
+  if (!AdmitFrame(peer, frame, frame_bytes)) {
+    RecordSpan(bsobs::SpanKind::kShed, peer, -1, 0,
+               static_cast<std::int64_t>(frame_bytes), 0);
+    return;
   }
 
-  switch (frame.status) {
-    case DecodeStatus::kOk:
-      break;
-    case DecodeStatus::kBadChecksum:
-      ++peer.frames_bad_checksum;
-      m_frames_bad_checksum_->Inc();
-      trace_.Record(Sched().Now(), bsobs::EventType::kFrameDropped, peer.id,
-                    static_cast<std::int64_t>(frame.status),
-                    static_cast<std::int64_t>(frame_bytes));
-      if (cpu_) cpu_->ConsumeMessage(checksum_cycles);
-      // The bogus-message loophole: dropped with no ban-score consequence —
-      // unless the ablation flips the order and punishes it.
-      if (!config_.checksum_before_misbehavior) {
-        ApplyMisbehavior(peer, Misbehavior::kBadChecksumFrame);
-      }
-      return;
-    case DecodeStatus::kUnknownCommand:
-      ++peer.frames_unknown_command;
-      m_frames_unknown_->Inc();
-      trace_.Record(Sched().Now(), bsobs::EventType::kFrameDropped, peer.id,
-                    static_cast<std::int64_t>(frame.status),
-                    static_cast<std::int64_t>(frame_bytes));
-      if (cpu_) cpu_->ConsumeMessage(checksum_cycles);
-      return;  // ignored, never punished
-    case DecodeStatus::kMalformed:
-    case DecodeStatus::kOversize:
-    case DecodeStatus::kBadMagic:
-      ++peer.frames_malformed;
-      m_frames_malformed_->Inc();
-      if (frame.status == DecodeStatus::kOversize) m_codec_oversize_->Inc();
-      trace_.Record(Sched().Now(), bsobs::EventType::kFrameDropped, peer.id,
-                    static_cast<std::int64_t>(frame.status),
-                    static_cast<std::int64_t>(frame_bytes));
-      if (cpu_) cpu_->ConsumeMessage(checksum_cycles);
-      return;  // dropped silently (no Table I rule)
-    case DecodeStatus::kNeedMoreData:
-      return;
+  if (frame.status != DecodeStatus::kOk) {
+    switch (frame.status) {
+      case DecodeStatus::kBadChecksum:
+        ++peer.frames_bad_checksum;
+        m_frames_bad_checksum_->Inc();
+        break;
+      case DecodeStatus::kUnknownCommand:  // ignored, never punished
+        ++peer.frames_unknown_command;
+        m_frames_unknown_->Inc();
+        break;
+      default:  // malformed, oversize, bad magic: no Table I rule
+        ++peer.frames_malformed;
+        m_frames_malformed_->Inc();
+        if (frame.status == DecodeStatus::kOversize) m_codec_oversize_->Inc();
+        break;
+    }
+    trace_.Record(Sched().Now(), bsobs::EventType::kFrameDropped, peer.id,
+                  static_cast<std::int64_t>(frame.status),
+                  static_cast<std::int64_t>(frame_bytes));
+    if (cpu_) cpu_->ConsumeMessage(checksum_cycles);
+    // The bogus-message loophole: dropped with no ban-score consequence —
+    // unless the ablation flips the order and punishes it.
+    if (frame.status == DecodeStatus::kBadChecksum &&
+        !config_.checksum_before_misbehavior) {
+      ApplyMisbehavior(peer, Misbehavior::kBadChecksumFrame);
+    }
+    return;
   }
 
   const MsgType type = bsproto::MsgTypeOf(frame.message);

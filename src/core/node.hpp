@@ -84,12 +84,6 @@ struct NodeConfig {
   // ---- Robustness hardening (beyond-paper; every default preserves the
   // paper-faithful 0.20.0 behaviour the Fig. 8 serial-Sybil timing depends
   // on, so the benches keep measuring the stock node) ----
-  /// Per-peer reassembly-buffer cap; overflow sheds the oldest bytes (the
-  /// decoder resynchronizes on the next header boundary) so a flooding peer
-  /// can never OOM the node. 0 = unbounded. The default is generous: it
-  /// exceeds the largest legal wire frame several times over and only binds
-  /// under a pathological backlog.
-  std::size_t max_rx_buffer_bytes = 8 * 1024 * 1024;
   /// Disconnect peers whose version handshake is still incomplete after this
   /// long (0 = disabled). Distinct from inactivity_timeout, which only
   /// watches handshake-complete peers.
@@ -119,8 +113,8 @@ struct NodeConfig {
   /// that fills the slots first lock honest newcomers out.
   bool enable_eviction = false;
   /// Per-peer token buckets over rx bytes/sec and costmodel-weighted cycles
-  /// per second. A frame that would overdraw either bucket is shed at the
-  /// header peek (kRateLimitDropCycles) instead of being checksummed.
+  /// per second. A frame that would overdraw either bucket is shed, charging
+  /// the modelled CPU kRateLimitDropCycles instead of its checksum cost.
   bool enable_rate_limit = false;
   double rx_bytes_per_sec = 2.0 * 1024 * 1024;
   double rx_bytes_burst = 8.0 * 1024 * 1024;
@@ -295,14 +289,14 @@ struct Peer {
   TokenBucket rx_bytes_bucket;        // live when enable_rate_limit
   TokenBucket rx_cost_bucket;
 
-  bsutil::ByteVec rx_buffer;  // wire-stream reassembly
-
-  // Application-stream positions for causal span matching (obs/span.hpp):
-  // total bytes this node has written to the connection, and the stream
-  // offset of rx_buffer[0]. Maintained unconditionally (two integer adds);
-  // only consulted when a SpanTracer is attached.
+  /// Wire-stream reassembly, bounded by the node (Node::RegisterPeer). Its
+  /// StreamPosition() is the receive-side stream offset span matching
+  /// (obs/span.hpp) claims frames at.
+  bsproto::StreamDecoder rx{0};
+  /// Total bytes this node has written to the connection: the send-side
+  /// stream offset for span matching. Maintained unconditionally; only
+  /// consulted when a SpanTracer is attached.
   std::uint64_t tx_stream_offset = 0;
-  std::uint64_t rx_stream_base = 0;
 
   bool HandshakeComplete() const { return got_version && got_verack; }
 };
@@ -580,8 +574,8 @@ class Node {
 
   void OnData(std::uint64_t peer_id, bsutil::ByteSpan data);
   /// `stream_offset` is the app-stream position of the frame's first byte
-  /// (rx_stream_base + in-buffer offset), used to claim the sender's span
-  /// registration when tracing is on.
+  /// (Peer::rx's StreamPosition() before the frame), used to claim the
+  /// sender's span registration when tracing is on.
   void ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
                     std::uint64_t stream_offset);
   void ProcessMessage(Peer& peer, const bsproto::Message& msg);

@@ -30,7 +30,7 @@ namespace bsobs {
 
 /// The instrumented stages. Keep in sync with StageName().
 enum class HotStage : std::uint8_t {
-  kCodecDecode = 0,   // bsproto::DecodeMessage per framing attempt
+  kCodecDecode = 0,   // bsproto::DecodeMessage per frame
   kTrackerUpdate,     // MisbehaviorTracker::Misbehaving
   kDetectTick,        // detect engine verdict computation
   kAddrmanSelect,     // AddrMan::Select / SelectNew

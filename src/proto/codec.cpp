@@ -13,6 +13,41 @@ namespace {
 // mirrors it into bs_codec_oversize_reject_total (and tests/fuzz harnesses
 // read it directly).
 std::atomic<std::uint64_t> g_oversize_rejects{0};
+
+std::uint32_t LoadU32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+// What the fixed header fields alone decide, read in place without
+// allocating. kMalformed (bytes after the command's NUL padding), kBadMagic
+// and kOversize each end the frame at the header; kOk means the frame runs on
+// for `length` payload bytes. DecodeMessage and StreamDecoder both ask here,
+// so these rules exist once.
+struct HeaderLook {
+  DecodeStatus status = DecodeStatus::kOk;
+  std::uint32_t length = 0;
+
+  std::size_t FrameSize() const {
+    return kHeaderSize + (status == DecodeStatus::kOk ? length : 0);
+  }
+};
+
+HeaderLook LookAtHeader(std::uint32_t magic, const std::uint8_t* header) {
+  const std::uint8_t* cmd = header + 4;
+  std::size_t len = 0;
+  while (len < kCommandSize && cmd[len] != 0) ++len;
+  for (std::size_t i = len; i < kCommandSize; ++i) {
+    if (cmd[i] != 0) return {DecodeStatus::kMalformed, 0};
+  }
+  // A foreign frame's length cannot be trusted.
+  if (LoadU32(header) != magic) return {DecodeStatus::kBadMagic, 0};
+  const std::uint32_t length = LoadU32(header + 4 + kCommandSize);
+  // Length-field lie: never size a buffer (or wait for payload bytes) off a
+  // declared length beyond the frame bound.
+  if (length > kMaxFramePayload) return {DecodeStatus::kOversize, 0};
+  return {DecodeStatus::kOk, length};
+}
 }  // namespace
 
 std::uint64_t CodecOversizeRejects() {
@@ -94,31 +129,22 @@ DecodeResult DecodeMessage(std::uint32_t magic, bsutil::ByteSpan stream) {
   DecodeResult result;
   if (stream.size() < kHeaderSize) return result;  // kNeedMoreData, consumed 0
 
-  try {
+  const HeaderLook look = LookAtHeader(magic, stream.data());
+  if (look.status != DecodeStatus::kMalformed) {
     result.header = MessageHeader::Deserialize(stream.subspan(0, kHeaderSize));
-  } catch (const bsutil::DeserializeError&) {
-    result.status = DecodeStatus::kMalformed;
+  }
+  if (look.status != DecodeStatus::kOk) {
+    if (look.status == DecodeStatus::kOversize) {
+      g_oversize_rejects.fetch_add(1, std::memory_order_relaxed);
+    }
+    result.status = look.status;
     result.consumed = kHeaderSize;
     return result;
   }
-
-  if (result.header.magic != magic) {
-    result.status = DecodeStatus::kBadMagic;
-    result.consumed = kHeaderSize;  // cannot trust length from a foreign frame
-    return result;
-  }
-  if (result.header.length > kMaxFramePayload) {
-    // Length-field lie: never size a buffer (or wait for payload bytes) off a
-    // declared length beyond the frame bound.
-    g_oversize_rejects.fetch_add(1, std::memory_order_relaxed);
-    result.status = DecodeStatus::kOversize;
-    result.consumed = kHeaderSize;
-    return result;
-  }
-  if (stream.size() < kHeaderSize + result.header.length) return result;
+  if (stream.size() < look.FrameSize()) return result;
 
   const bsutil::ByteSpan payload = stream.subspan(kHeaderSize, result.header.length);
-  result.consumed = kHeaderSize + result.header.length;
+  result.consumed = look.FrameSize();
 
   // Checksum gate: runs before anything looks at the payload, so a failed
   // checksum never reaches the misbehavior tracker (the bogus-message vector).
@@ -167,6 +193,7 @@ StreamDecoder::StreamDecoder(std::uint32_t magic, std::size_t max_buffer)
 
 void StreamDecoder::Feed(bsutil::ByteSpan data) {
   buffer_.insert(buffer_.end(), data.begin(), data.end());
+  fed_bytes_ += data.size();
   if (max_buffer_ > 0 && BufferedBytes() > max_buffer_) {
     // Drop-oldest: the bytes that have waited longest are the ones a stalled
     // frame is sitting on; shedding them lets the decoder resynchronize on
@@ -179,32 +206,18 @@ void StreamDecoder::Feed(bsutil::ByteSpan data) {
 }
 
 bool StreamDecoder::Next(DecodeResult& out) {
-  const bsutil::ByteSpan remaining(buffer_.data() + offset_, BufferedBytes());
-  if (remaining.size() < kHeaderSize) return false;
-  DecodeResult result = DecodeMessage(magic_, remaining);
-  if (result.status == DecodeStatus::kNeedMoreData) return false;
-  offset_ += result.consumed;
+  if (BytesNeeded() != 0) return false;
+  out = DecodeMessage(magic_, bsutil::ByteSpan(buffer_.data() + offset_, BufferedBytes()));
+  offset_ += out.consumed;
   ++frames_decoded_;
   Compact();
-  out = std::move(result);
   return true;
 }
 
 std::size_t StreamDecoder::BytesNeeded() const {
   const std::size_t remaining = BufferedBytes();
   if (remaining < kHeaderSize) return kHeaderSize - remaining;
-  MessageHeader header;
-  try {
-    header = MessageHeader::Deserialize(
-        bsutil::ByteSpan(buffer_.data() + offset_, kHeaderSize));
-  } catch (const bsutil::DeserializeError&) {
-    return 0;  // kMalformed decodes right now
-  }
-  // Bad magic and oversize frames resolve on the header alone — DecodeMessage
-  // never waits for a payload it refuses to trust.
-  if (header.magic != magic_) return 0;
-  if (header.length > kMaxFramePayload) return 0;
-  const std::size_t need = kHeaderSize + header.length;
+  const std::size_t need = LookAtHeader(magic_, buffer_.data() + offset_).FrameSize();
   return remaining >= need ? 0 : need - remaining;
 }
 

@@ -89,20 +89,22 @@ struct FramePeek {
 };
 bool PeekFrame(std::uint32_t magic, bsutil::ByteSpan stream, FramePeek& out);
 
-/// Incremental frame decoder over arbitrarily split input. Feed() accepts any
-/// chunking of a byte stream — single bytes, whole frames, frame-and-a-half —
-/// and Next() yields exactly the sequence of DecodeResults that DecodeMessage
-/// would produce over the concatenated stream. Decoding itself is delegated to
-/// DecodeMessage, so every status, consumed count, and side effect (including
-/// the process-wide oversize counter) fires once per frame regardless of how
-/// the bytes arrived.
+/// Incremental frame decoder over arbitrarily split input, and the one
+/// reassembly path of the node and the attacker. Feed() accepts any chunking
+/// of a byte stream — single bytes, whole frames, frame-and-a-half — and
+/// Next() yields exactly the sequence of DecodeResults that DecodeMessage
+/// would produce over the concatenated stream. Next() calls DecodeMessage only
+/// once the fixed header fields say the front frame is complete, so every
+/// status, consumed count, and side effect (including the process-wide
+/// oversize counter) fires once per frame regardless of how the bytes arrived.
 class StreamDecoder {
  public:
   /// `max_buffer` bounds the bytes held across Feed() calls; 0 = unbounded.
   /// Since DecodeMessage never waits for more than a header plus
   /// kMaxFramePayload, any cap >= kHeaderSize + kMaxFramePayload never
-  /// truncates; smaller caps drop the oldest buffered bytes (overflow_bytes_
-  /// counts them) and are only for adversarial back-pressure tests.
+  /// truncates a frame that is being drained; past the cap, Feed() drops the
+  /// oldest buffered bytes (OverflowBytes() counts them) and decoding
+  /// resynchronizes on the header-complete outcomes that follow.
   explicit StreamDecoder(std::uint32_t magic, std::size_t max_buffer = 0);
 
   /// Appends bytes to the reassembly buffer.
@@ -118,6 +120,9 @@ class StreamDecoder {
   /// (including bad-magic / oversize frames, which decode without payload).
   std::size_t BytesNeeded() const;
 
+  /// Stream offset of the first byte Next() has not decoded yet: every byte
+  /// fed before it was either decoded or shed.
+  std::uint64_t StreamPosition() const { return fed_bytes_ - BufferedBytes(); }
   std::size_t BufferedBytes() const { return buffer_.size() - offset_; }
   std::uint64_t FramesDecoded() const { return frames_decoded_; }
   std::uint64_t OverflowBytes() const { return overflow_bytes_; }
@@ -129,6 +134,7 @@ class StreamDecoder {
   std::size_t max_buffer_;
   bsutil::ByteVec buffer_;
   std::size_t offset_ = 0;  // consumed prefix awaiting compaction
+  std::uint64_t fed_bytes_ = 0;
   std::uint64_t frames_decoded_ = 0;
   std::uint64_t overflow_bytes_ = 0;
 };

@@ -1,5 +1,7 @@
 // Peer lifetime: a disconnect only marks a Peer, and the node frees it when
-// the turn that marked it ends. Every test drives the node through a
+// the turn that marked it ends. The same transport double also drives the
+// receive path (NodeReceive below): over-cap shedding, span claims after a
+// shed, and one decode per frame. Every test drives the node through a
 // Transport double whose connections may fire on_closed synchronously from
 // inside Send() — the simulator's reliable-mode TCP does exactly that when
 // its retransmit queue overflows — and then checks, for every marking site,
@@ -13,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <initializer_list>
 #include <memory>
@@ -22,6 +25,7 @@
 #include "core/event_loop.hpp"
 #include "core/node.hpp"
 #include "core/rpc.hpp"
+#include "obs/span.hpp"
 #include "sim/faultsock.hpp"
 
 namespace {
@@ -461,6 +465,154 @@ TEST_F(PeerLifetime, RpcSetbanDisconnectsThroughItsOwnTurn) {
   EXPECT_TRUE(node_->Bans().IsBanned(link.conn->Remote(), sched_.Now()));
   EXPECT_EQ(link.conn->resets, 1);
   ExpectReaped(link);
+}
+
+// ---------------------------------------------------------------------------
+// The receive path: one StreamDecoder per peer, bounded at the node's 8 MiB
+// receive cap, decoding each frame once.
+
+constexpr std::size_t kRxCap = 8 * 1024 * 1024;  // node.cpp kMaxRxBufferBytes
+
+/// Whole unknown-command frames (ignored, never scored) totalling exactly
+/// `bytes`, at least one header's worth.
+std::vector<bsutil::ByteVec> FillerFrames(std::size_t bytes) {
+  std::vector<bsutil::ByteVec> frames;
+  while (bytes > 0) {
+    std::size_t size = std::min(bytes, bsproto::kHeaderSize + bsproto::kMaxFramePayload);
+    const std::size_t rest = bytes - size;
+    if (rest > 0 && rest < bsproto::kHeaderSize) size -= bsproto::kHeaderSize;
+    frames.push_back(bsproto::EncodeRaw(NodeConfig{}.chain.magic, "filler",
+                                        bsutil::ByteVec(size - bsproto::kHeaderSize, 0)));
+    bytes -= size;
+  }
+  return frames;
+}
+
+/// One delivery: a whole frame the cap sheds, then exactly kRxCap bytes of
+/// whole frames (filler first, `tail` last).
+std::vector<bsutil::ByteVec> OverCapFrames(const bsutil::ByteVec& shed,
+                                           std::initializer_list<bsproto::Message> tail) {
+  const bsutil::ByteVec tail_wire = Wire(tail);
+  std::vector<bsutil::ByteVec> frames{shed};
+  for (bsutil::ByteVec& filler : FillerFrames(kRxCap - tail_wire.size())) {
+    frames.push_back(std::move(filler));
+  }
+  for (const bsproto::Message& msg : tail) frames.push_back(Wire({msg}));
+  return frames;
+}
+
+bsutil::ByteVec Concat(const std::vector<bsutil::ByteVec>& frames) {
+  bsutil::ByteVec out;
+  for (const bsutil::ByteVec& frame : frames) out.insert(out.end(), frame.begin(), frame.end());
+  return out;
+}
+
+using NodeReceive = PeerLifetime;
+
+TEST_F(NodeReceive, OverCapDeliveryShedsTheExcessAndClaimsTheRestExactly) {
+  bsobs::SpanTracer tracer;
+  NodeConfig config;
+  config.span_tracer = &tracer;
+  Boot(config);
+  const Link link = Handshaked(0x0a010001);
+  const Peer* peer = node_->FindPeerById(link.id);
+  ASSERT_NE(peer, nullptr);
+
+  const bsutil::ByteVec shed = bsproto::EncodeRaw(NodeConfig{}.chain.magic, "shed",
+                                                  bsutil::ByteVec(1000, 7));
+  const std::vector<bsutil::ByteVec> frames =
+      OverCapFrames(shed, {bsproto::PingMsg{1}, bsproto::PingMsg{2}});
+  // The sender registers every frame at its stream offset.
+  const bsobs::SpanStreamKey stream{
+      bsobs::PackEndpoint(link.conn->Remote().ip, link.conn->Remote().port),
+      bsobs::PackEndpoint(link.conn->Local().ip, link.conn->Local().port)};
+  std::vector<bsobs::TraceContext> sent;
+  std::uint64_t offset = peer->bytes_received;
+  for (const bsutil::ByteVec& frame : frames) {
+    sent.push_back(tracer.Begin());
+    tracer.NoteFrameSent(stream, offset, static_cast<std::uint32_t>(frame.size()),
+                         sent.back());
+    offset += frame.size();
+  }
+
+  const std::uint64_t shed_before = node_->RxBytesShed();
+  const std::uint64_t messages = node_->TotalMessagesReceived();
+  const int sends = link.conn->sends;
+  link.conn->Deliver(Concat(frames));
+
+  EXPECT_EQ(node_->RxBytesShed() - shed_before, shed.size());
+  int shed_events = 0;
+  for (const bsobs::TraceEvent& ev : node_->Trace().Snapshot()) {
+    if (ev.type != bsobs::EventType::kRxShed) continue;
+    ++shed_events;
+    EXPECT_EQ(ev.peer_id, link.id);
+    EXPECT_EQ(ev.a, static_cast<std::int64_t>(shed.size()));
+  }
+  EXPECT_EQ(shed_events, 1);
+  EXPECT_EQ(node_->TotalMessagesReceived(), messages + 2);  // both PINGs ran
+  EXPECT_EQ(link.conn->sends, sends + 2);                    // and were PONGed
+  EXPECT_EQ(peer->frames_unknown_command, frames.size() - 3);
+  EXPECT_EQ(peer->frames_malformed, 0u);
+
+  // Every frame after the shed claims its own send span: no resync, no orphan.
+  const std::vector<bsobs::SpanRecord> spans = tracer.Log().Snapshot();
+  for (std::size_t i = 1; i < sent.size(); ++i) {
+    int claims = 0;
+    for (const bsobs::SpanRecord& rec : spans) {
+      if (rec.parent_span != sent[i].span_id) continue;
+      ++claims;
+      EXPECT_EQ(rec.trace_id, sent[i].trace_id);
+      EXPECT_EQ(rec.flags & (bsobs::kFlagResync | bsobs::kFlagOrphan), 0) << "frame " << i;
+      EXPECT_EQ(rec.b, static_cast<std::int64_t>(frames[i].size()));
+    }
+    EXPECT_EQ(claims, 1) << "frame " << i;
+  }
+}
+
+TEST_F(NodeReceive, BanAfterAShedLeavesTheLaterFramesUnprocessed) {
+  NodeConfig config;
+  config.ban_threshold = 1;  // a duplicate VERSION (+1) bans
+  Boot(config);
+  const Link link = Handshaked(0x0a010001);
+  const std::uint64_t shed_before = node_->RxBytesShed();
+  const std::uint64_t messages = node_->TotalMessagesReceived();
+  const int sends = link.conn->sends;
+
+  const bsutil::ByteVec shed = Wire({bsproto::PingMsg{9}});
+  link.conn->Deliver(Concat(OverCapFrames(
+      shed, {bsproto::VersionMsg{}, bsproto::PingMsg{1}, bsproto::PingMsg{2}})));
+  EXPECT_EQ(node_->RxBytesShed() - shed_before, shed.size());
+  EXPECT_EQ(node_->PeersBanned(), 1u);
+  EXPECT_EQ(node_->TotalMessagesReceived(), messages + 1);  // the PINGs never ran
+  EXPECT_EQ(link.conn->sends, sends);                        // so no PONG
+  ExpectReaped(link);
+}
+
+TEST_F(NodeReceive, BlockFrameInMssChopsIsDecodedOnce) {
+  bsobs::HotpathProfiler profiler;
+  NodeConfig config;
+  config.profiler = &profiler;
+  Boot(config);
+  const Link link = Handshaked(0x0a010001);
+
+  bschain::Transaction tx = SpendTx();
+  tx.inputs[0].script_sig.assign(400'000, 0x51);
+  bschain::Block block;
+  block.txs.push_back(tx);
+  const bsutil::ByteVec frame = Wire({bsproto::BlockMsg{block}});
+  ASSERT_GT(frame.size(), 400'000u);
+
+  int frames = 0;
+  node_->on_frame = [&frames](std::size_t, bsproto::DecodeStatus) { ++frames; };
+  const std::uint64_t decodes = profiler.Stats(bsobs::HotStage::kCodecDecode).count;
+  constexpr std::size_t kMss = 1460;
+  for (std::size_t at = 0; at < frame.size(); at += kMss) {
+    const std::size_t len = std::min(kMss, frame.size() - at);
+    link.conn->Deliver(bsutil::ByteVec(frame.begin() + static_cast<std::ptrdiff_t>(at),
+                                       frame.begin() + static_cast<std::ptrdiff_t>(at + len)));
+  }
+  EXPECT_EQ(frames, 1);
+  EXPECT_EQ(profiler.Stats(bsobs::HotStage::kCodecDecode).count - decodes, 1u);
 }
 
 }  // namespace

@@ -112,8 +112,8 @@ TEST_P(CodecStreamProperty, AnyChunkingDecodesTheSameMessageSequence) {
     stream.insert(stream.end(), frame.begin(), frame.end());
   }
 
-  // Feed the stream in random-sized chunks through a reassembly buffer, as
-  // the node's OnData does.
+  // Feed the stream in random-sized chunks through a plain reassembly buffer
+  // over DecodeMessage, the contiguous reference StreamDecoder must match.
   std::vector<bsproto::MsgType> decoded;
   ByteVec buffer;
   std::size_t fed = 0;
@@ -472,6 +472,50 @@ TEST(StreamDecoderProperty, BoundedBufferShedsOldestAndKeepsDecodingPromptDrains
   }
   EXPECT_EQ(drained.OverflowBytes(), 0u);
   EXPECT_EQ(drained.FramesDecoded(), 100u);
+}
+
+TEST(StreamDecoderProperty, ShedInsideAPartialHeaderOrPayloadMatchesAFreshDecoder) {
+  // The stream opens with a 624-byte frame. `held` bytes of it wait in the
+  // buffer (a partial header, or a whole header and part of the payload);
+  // then one Feed() overruns the cap by `cut` bytes, so the drop-oldest shed
+  // ends inside what was held. The survivors must decode exactly as a fresh
+  // decoder fed only them decodes, garbage resync included.
+  constexpr std::uint32_t kMagic = 0xfabfb5da;
+  constexpr std::size_t kCap = 512;
+  ByteVec stream = bsproto::EncodeRaw(kMagic, "filler", ByteVec(600, 0x5a));
+  for (std::uint64_t nonce = 1; nonce <= 8; ++nonce) {
+    const ByteVec ping = bsproto::EncodeMessage(kMagic, bsproto::PingMsg{nonce});
+    stream.insert(stream.end(), ping.begin(), ping.end());
+  }
+
+  for (const std::size_t held : {std::size_t{10}, std::size_t{300}}) {
+    for (std::size_t cut = 1; cut < held; ++cut) {
+      bsproto::StreamDecoder capped(kMagic, kCap);
+      capped.Feed(bsutil::ByteSpan(stream.data(), held));
+      bsproto::DecodeResult r;
+      ASSERT_FALSE(capped.Next(r));
+      const std::size_t end = kCap + cut;
+      capped.Feed(bsutil::ByteSpan(stream.data() + held, end - held));
+      ASSERT_EQ(capped.OverflowBytes(), cut) << "held=" << held;
+
+      bsproto::StreamDecoder fresh(kMagic);
+      fresh.Feed(bsutil::ByteSpan(stream.data() + cut, end - cut));
+      for (;;) {
+        ASSERT_EQ(capped.StreamPosition(), fresh.StreamPosition() + cut);
+        ASSERT_EQ(capped.BytesNeeded(), fresh.BytesNeeded())
+            << "held=" << held << " cut=" << cut;
+        bsproto::DecodeResult a;
+        bsproto::DecodeResult b;
+        const bool got = capped.Next(a);
+        ASSERT_EQ(got, fresh.Next(b)) << "held=" << held << " cut=" << cut;
+        if (!got) break;
+        ASSERT_EQ(a.status, b.status) << "held=" << held << " cut=" << cut;
+        ASSERT_EQ(a.consumed, b.consumed) << "held=" << held << " cut=" << cut;
+        ASSERT_TRUE(a.message == b.message);
+      }
+      ASSERT_EQ(capped.FramesDecoded(), fresh.FramesDecoded());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
