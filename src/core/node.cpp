@@ -968,10 +968,12 @@ void Node::OnData(std::uint64_t peer_id, bsutil::ByteSpan data) {
   }
 
   // `peer` outlives this call: a ban only marks it, and the turn opened
-  // above frees it. A marked peer gets no further frames.
+  // above frees it. A marked peer gets no further frames. `frame` is reused
+  // across iterations: a fresh DecodeResult default-constructs a VersionMsg,
+  // whose user agent is a heap allocation.
+  bsproto::DecodeResult frame;
   while (!peer.disconnect && peer.rx.BytesNeeded() == 0) {
     const std::uint64_t frame_start = peer.rx.StreamPosition();
-    bsproto::DecodeResult frame;
     bsobs::ScopedProbe decode_probe(profiler_, bsobs::HotStage::kCodecDecode);
     peer.rx.Next(frame);
     decode_probe.Stop();

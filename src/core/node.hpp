@@ -558,7 +558,9 @@ class Node {
   bool NewcomerGroupHoldsPlurality(std::uint32_t group) const;
   /// Rate-limit/governor gate for one complete frame. True = process it;
   /// false = it was shed (metrics, trace, and the drop cost are recorded
-  /// here). Always true when neither limiter is configured.
+  /// here). Always true when neither limiter is configured. It runs before
+  /// the modelled CPU is charged for the checksum, but after DecodeMessage
+  /// has hashed the payload for real.
   bool AdmitFrame(Peer& peer, const bsproto::DecodeResult& frame,
                   std::size_t frame_bytes);
 
