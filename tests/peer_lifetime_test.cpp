@@ -551,6 +551,7 @@ TEST_F(NodeReceive, OverCapDeliveryShedsTheExcessAndClaimsTheRestExactly) {
   EXPECT_EQ(shed_events, 1);
   EXPECT_EQ(node_->TotalMessagesReceived(), messages + 2);  // both PINGs ran
   EXPECT_EQ(link.conn->sends, sends + 2);                    // and were PONGed
+  // Every filler frame decoded; the shed frame and the two PINGs are not filler.
   EXPECT_EQ(peer->frames_unknown_command, frames.size() - 3);
   EXPECT_EQ(peer->frames_malformed, 0u);
 
