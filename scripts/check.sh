@@ -8,7 +8,8 @@
 # tests, a fixed-seed chaos smoke sweep, a degradation smoke (honest
 # mining must hold >= 50% of baseline under a Sybil flood with the full
 # defense stack on), an eclipse A/B smoke (the stock victim must stay
-# eclipsed, the hardened one must heal), a partition A/B smoke (the stock
+# eclipsed, the hardened one must heal) gated bit-identical against its
+# committed bench baseline, a partition A/B smoke (the stock
 # victim must stay behind an asymmetric routing cut, the hardened one must
 # reconverge) gated against its committed bench baseline, and two
 # store-recovery gates: the fsck demo
@@ -51,6 +52,14 @@ if ./build/tools/banscore-lab eclipse --defenses none --format json; then
   exit 1
 fi
 ./build/tools/banscore-lab eclipse --defenses all --format json
+
+echo "==> eclipse bench vs committed baseline: bit-identical"
+# Every field is simulated (control fractions, heal times, defense counters),
+# so even the timing-class fields must match.
+./build/bench/bench_eclipse_resilience --json build/BENCH_eclipse.json > /dev/null
+./build/tools/banscore-lab bench-diff \
+  --old bench/baselines/BENCH_eclipse.json --new build/BENCH_eclipse.json \
+  --tolerance 0.0 --timing-tolerance 0.0
 
 echo "==> partition smoke: stock victim stays behind the cut, hardened reconverges"
 if ./build/tools/banscore-lab partition --defenses none --format json; then
