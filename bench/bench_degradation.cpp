@@ -22,7 +22,6 @@
 // burn, which would mask the defense-vs-collapse contrast this bench exists
 // to show (see DESIGN.md "Substitutions").
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -188,20 +187,6 @@ RunResult RunScenario(const Defense& defense, int attacker_procs) {
   if (defense.priority) config.governor_cycles_per_sec = 1.0e9;
   Node victim(sched, net, kVictimIp, config, &cpu);
   victim.Start();
-  const bool debug = std::getenv("BD_DEBUG") != nullptr;
-  if (debug) {
-    victim.on_peer_evicted = [&sched](const bsnet::Peer& p) {
-      std::printf("[%7.3f] evicted ip=%08x\n", bsim::ToSeconds(sched.Now()),
-                  p.remote.ip);
-    };
-    victim.on_frame_shed = [&sched](const bsnet::Peer& p, std::size_t bytes,
-                                    bool governor) {
-      if ((p.remote.ip >> 16) == 0xc0a8) return;  // attacker shed: expected
-      std::printf("[%7.3f] shed honest ip=%08x bytes=%zu governor=%d\n",
-                  bsim::ToSeconds(sched.Now()), p.remote.ip, bytes,
-                  governor ? 1 : 0);
-    };
-  }
 
   // Honest peers: real nodes in distinct netgroups, each holding one
   // outbound session into the victim (inbound on the victim's side, so they
@@ -297,19 +282,6 @@ RunResult RunScenario(const Defense& defense, int attacker_procs) {
     }
   }
   result.honest_connected = connected;
-  if (debug) {
-    std::printf("debug: rejects=%llu evictions=%llu peers=%zu\n",
-                static_cast<unsigned long long>(victim.InboundFullRejects()),
-                static_cast<unsigned long long>(victim.PeersEvicted()),
-                victim.Peers().size());
-    for (const bsnet::Peer* p : victim.Peers()) {
-      std::printf("debug: peer ip=%08x hs=%d ping=%lld tx=%lld blk=%lld\n",
-                  p->remote.ip, p->HandshakeComplete() ? 1 : 0,
-                  static_cast<long long>(p->min_ping_rtt),
-                  static_cast<long long>(p->last_tx_time),
-                  static_cast<long long>(p->last_block_time));
-    }
-  }
   result.evictions = victim.PeersEvicted();
   result.ratelimited_frames = victim.RateLimitedFrames();
   result.governor_shed = victim.GovernorShedFrames();
