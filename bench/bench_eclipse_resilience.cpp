@@ -25,51 +25,26 @@
 //
 // Reported per phase: control-fraction-over-time (1 s samples), peak and
 // final fraction, time-to-heal from attack start, and the defense counters
-// (feeler probes/promotions, anchor redials, stale-tip events).
-#include <algorithm>
+// (feeler probes/promotions, anchor redials, stale-tip events). The world is
+// bsscenario::EclipseWorld (src/scenario/), shared with `banscore-lab
+// eclipse` and the ChaosEclipseHeal test.
 #include <cstdio>
-#include <memory>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "attack/attacker.hpp"
-#include "attack/crafter.hpp"
-#include "attack/eclipse.hpp"
 #include "bench_util.hpp"
-#include "core/node.hpp"
-#include "sim/simfs.hpp"
+#include "scenario/eclipse_world.hpp"
 
 namespace {
 
-using bsattack::AttackerNode;
-using bsattack::EclipseAttack;
-using bsattack::EclipseConfig;
-using bsnet::Node;
-using bsnet::NodeConfig;
+using bsscenario::EclipseWorld;
 
-constexpr std::uint32_t kVictimIp = 0x0a000001;
-constexpr int kHonestPeers = 12;   // distinct /16 netgroups, ring mesh
-constexpr int kInfraNodes = 8;     // attacker full nodes, one /16
-constexpr int kMaxInbound = 16;
-constexpr int kTargetOutbound = 6;
+constexpr int kInfraNodes = 8;  // attacker full nodes, one /16
 constexpr int kRunSeconds = 90;
-constexpr bsim::SimTime kAttackStart = 5 * bsim::kSecond;
-constexpr bsim::SimTime kAttackStop = 60 * bsim::kSecond;
-constexpr bsim::SimTime kDialInStart = 50 * bsim::kSecond;
-constexpr bsim::SimTime kCrashAt = 9 * bsim::kSecond;
-constexpr bsim::SimTime kRestartAt = 11 * bsim::kSecond;
+constexpr int kAttackStopSeconds = 60;
+constexpr int kDialInSeconds = 50;
 constexpr double kHealThreshold = 0.5;
-
-// ith honest peer: its own /16 netgroup (10.(16+i).0.1).
-constexpr std::uint32_t HonestIp(int i) {
-  return 0x0a000001 + (static_cast<std::uint32_t>(16 + i) << 16);
-}
-// The attacker and its infrastructure share the 192.168/16 netgroup.
-constexpr std::uint32_t kAttackerIp = 0xc0a80001;
-constexpr std::uint32_t InfraIp(int i) {
-  return 0xc0a80002 + static_cast<std::uint32_t>(i);
-}
 
 enum class Phase { kStock, kHardened, kHardenedRestart };
 
@@ -82,249 +57,44 @@ const char* PhaseName(Phase phase) {
   return "?";
 }
 
-struct PhaseResult {
-  std::vector<double> series;  // control fraction, one sample per second
-  double peak = 0.0;
-  double final_fraction = 0.0;       // mean of the last 5 samples
-  double heal_seconds = -1.0;        // from attack start; -1 = never healed
-  int attacker_outbound_final = 0;   // diversity check
-  std::size_t honest_inbound_final = 0;
+struct PhaseResult : bsscenario::EclipseOutcome {
   std::uint64_t feeler_attempts = 0;
   std::uint64_t feeler_promotions = 0;
   std::uint64_t anchor_redials = 0;
   std::uint64_t stale_tip_events = 0;
   std::size_t tried = 0;
   std::size_t new_entries = 0;
-  std::size_t bans = 0;
   int victim_height = 0;
   int miner_height = 0;
 };
 
-NodeConfig VictimConfig(Phase phase) {
-  NodeConfig config;
-  config.max_inbound = kMaxInbound;
-  config.target_outbound = kTargetOutbound;
-  // Short enough that Defamation bans cycle inside the run: the sustained
-  // attacker must keep re-defaming, which is exactly the pressure the
-  // self-healing loop has to out-pace.
-  config.ban_duration = 60 * bsim::kSecond;
-  if (phase == Phase::kStock) return config;
-  // The earlier hardening layers the eclipse defenses compose with: inbound
-  // eviction admits honest newcomers, and idle-session reaping ages out
-  // Sybil occupation sessions (they send nothing after the handshake, while
-  // honest peers relay txs and blocks continuously).
-  config.enable_eviction = true;
-  config.inactivity_timeout = 30 * bsim::kSecond;
-  config.enable_addrman_bucketing = true;
-  config.enable_anchors = true;
-  config.enable_feelers = true;
-  config.feeler_interval = 5 * bsim::kSecond;
-  config.feeler_timeout = 3 * bsim::kSecond;
-  config.enable_outbound_diversity = true;
-  config.enable_stale_tip_recovery = true;
-  config.stale_tip_timeout = 10 * bsim::kSecond;
-  return config;
-}
-
-/// Control fraction measured from the outside (the experimenter's view, not
-/// EclipseAttack's): fraction of the victim's handshake-complete sessions
-/// that terminate at attacker IPs. A crashed victim counts as fully
-/// controlled — it has no honest view of the network at all.
-double ControlFraction(const Node* victim, const std::set<std::uint32_t>& attacker_ips) {
-  if (victim == nullptr) return 1.0;
-  std::size_t total = 0;
-  std::size_t controlled = 0;
-  for (const bsnet::Peer* peer : victim->Peers()) {
-    if (!peer->HandshakeComplete()) continue;
-    ++total;
-    controlled += attacker_ips.contains(peer->remote.ip) ? 1 : 0;
-  }
-  return total == 0 ? 0.0 : static_cast<double>(controlled) / static_cast<double>(total);
-}
-
 PhaseResult RunPhase(Phase phase) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  bsim::SimFs fs(7);
+  bsscenario::EclipseSpec spec;
+  spec.hardened = phase != Phase::kStock;
+  spec.run_seconds = kRunSeconds;
+  spec.attack_stop_seconds = kAttackStopSeconds;
+  spec.dial_in_seconds = kDialInSeconds;
+  spec.infra_nodes = kInfraNodes;
+  spec.heal_fraction = kHealThreshold;
+  // The restart phase crashes the victim mid-attack; the reborn node
+  // re-dials its anchors (persisted block-providing peers) before consulting
+  // the poisoned table at all.
+  spec.crash_restart = phase == Phase::kHardenedRestart;
+  spec.durable_store = spec.crash_restart;
+  spec.store_dir = "eclipse-bench-store";
+  EclipseWorld world(spec);
 
-  NodeConfig config = VictimConfig(phase);
-  if (phase == Phase::kHardenedRestart) {
-    config.enable_durable_store = true;
-    config.store_dir = "eclipse-bench-store";
-    config.store_fs = &fs;
-  }
-
-  // Honest world: 12 nodes in distinct /16s, ring mesh (each dials its two
-  // ring successors), one designated miner on a 3 s cadence. The third
-  // outbound slot stays empty until the victim's address arrives at
-  // kDialInStart — the honest network "learning about" the victim, which is
-  // what gives the eviction logic honest newcomers to admit.
-  std::vector<std::unique_ptr<Node>> honest;
-  for (int i = 0; i < kHonestPeers; ++i) {
-    NodeConfig hc;
-    hc.chain = config.chain;
-    hc.target_outbound = 3;
-    hc.rng_seed = 1000 + static_cast<std::uint64_t>(i);
-    auto node = std::make_unique<Node>(sched, net, HonestIp(i), hc);
-    node->AddKnownAddress({HonestIp((i + 1) % kHonestPeers), hc.listen_port});
-    node->AddKnownAddress({HonestIp((i + 2) % kHonestPeers), hc.listen_port});
-    honest.push_back(std::move(node));
-  }
-  bsattack::Crafter crafter(config.chain);
-  for (int i = 0; i < kHonestPeers; ++i) {
-    const int idx = i;
-    sched.After(idx * 50 * bsim::kMillisecond,
-                [&honest, idx]() { honest[static_cast<std::size_t>(idx)]->Start(); });
-    sched.After(kDialInStart + idx * 1500 * bsim::kMillisecond, [&honest, idx]() {
-      honest[static_cast<std::size_t>(idx)]->AddKnownAddress({kVictimIp, 8333});
-    });
-    // Once connected, each honest peer relays real txs into the victim:
-    // protocol-legal usefulness that the eviction protections and the
-    // idle-session reaper both key on.
-    auto send_tx = std::make_shared<std::function<void()>>();
-    *send_tx = [&honest, &sched, &crafter, idx, send_tx]() {
-      honest[static_cast<std::size_t>(idx)]->SendToRemoteIp(kVictimIp,
-                                                           crafter.ValidTx());
-      sched.After(2 * bsim::kSecond, [send_tx]() { (*send_tx)(); });
-    };
-    sched.After(kDialInStart + idx * 1500 * bsim::kMillisecond + 200 * bsim::kMillisecond,
-                [send_tx]() { (*send_tx)(); });
-  }
-  auto mine = std::make_shared<std::function<void()>>();
-  *mine = [&honest, &sched, mine]() {
-    honest[0]->MineAndRelay();
-    sched.After(3 * bsim::kSecond, [mine]() { (*mine)(); });
-  };
-  sched.After(2 * bsim::kSecond, [mine]() { (*mine)(); });
-
-  // Attacker infrastructure: full protocol speakers on attacker IPs, so the
-  // victim's poisoned refills look perfectly healthy.
-  std::vector<std::unique_ptr<Node>> infra;
-  std::vector<Node*> infra_ptrs;
-  std::set<std::uint32_t> attacker_ips = {kAttackerIp};
-  for (int i = 0; i < kInfraNodes; ++i) {
-    NodeConfig ic;
-    ic.chain = config.chain;
-    ic.target_outbound = 0;
-    ic.rng_seed = 2000 + static_cast<std::uint64_t>(i);
-    auto node = std::make_unique<Node>(sched, net, InfraIp(i), ic);
-    node->Start();
-    infra_ptrs.push_back(node.get());
-    attacker_ips.insert(node->Ip());
-    infra.push_back(std::move(node));
-  }
-
-  // The victim. Seeded with every honest address (the config-file peers of
-  // the paper's testbed); the restart phase respawns it from the durable
-  // store mid-attack.
-  std::vector<std::unique_ptr<Node>> graveyard;
-  auto spawn_victim = [&]() {
-    auto node = std::make_unique<Node>(sched, net, kVictimIp, config);
-    for (int i = 0; i < kHonestPeers; ++i) {
-      node->AddKnownAddress({HonestIp(i), 8333});
-    }
-    node->Start();
-    return node;
-  };
-  std::unique_ptr<Node> victim = spawn_victim();
-
-  // The sustained eclipse: Sybil inbound occupation with re-occupation,
-  // repeated ADDR poisoning, and one Defamation eviction per tick.
-  AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-  EclipseConfig ec;
-  ec.inbound_sessions = kMaxInbound;
-  ec.addr_gossip_rounds = 4;
-  ec.addrs_per_message = 400;
-  ec.defame_interval = 2500 * bsim::kMillisecond;
-  ec.repoison_interval = 2 * bsim::kSecond;
-  ec.reoccupy_inbound = true;
-  auto attack = std::make_unique<EclipseAttack>(attacker, *victim, infra_ptrs, ec);
-  sched.After(kAttackStart, [&attack]() { attack->Start(); });
-
-  std::unique_ptr<EclipseAttack> attack2;  // rebound after the restart
-  sched.After(kAttackStop, [&attack, &attack2]() {
-    attack->Stop();
-    if (attack2 != nullptr) attack2->Stop();
-  });
-  if (phase == Phase::kHardenedRestart) {
-    sched.After(kCrashAt, [&]() {
-      attack->Stop();
-      victim->Stop();
-      graveyard.push_back(std::move(victim));
-    });
-    sched.After(kRestartAt, [&]() { victim = spawn_victim(); });
-    // The attacker re-acquires its vantage on the reborn victim shortly
-    // after it comes back up.
-    sched.After(kRestartAt + 500 * bsim::kMillisecond, [&]() {
-      attack2 = std::make_unique<EclipseAttack>(attacker, *victim, infra_ptrs, ec);
-      attack2->Start();
-    });
-  }
-
-  // 1 s control-fraction samples, measured over the current victim.
-  PhaseResult result;
-  result.series.reserve(kRunSeconds);
-  for (int s = 1; s <= kRunSeconds; ++s) {
-    sched.RunUntil(s * bsim::kSecond);
-    result.series.push_back(ControlFraction(victim.get(), attacker_ips));
-  }
-  if (attack != nullptr) attack->Stop();
-  if (attack2 != nullptr) attack2->Stop();
-
-  result.peak = *std::max_element(result.series.begin(), result.series.end());
-  double tail = 0.0;
-  for (std::size_t i = result.series.size() - 5; i < result.series.size(); ++i) {
-    tail += result.series[i];
-  }
-  result.final_fraction = tail / 5.0;
-
-  // Time-to-heal: seconds from attack start until the last sample at or
-  // above the threshold — after that instant the fraction never recovers.
-  const double attack_start_s = bsim::ToSeconds(kAttackStart);
-  int last_bad = -1;
-  for (std::size_t i = 0; i < result.series.size(); ++i) {
-    const double t = static_cast<double>(i + 1);
-    if (t >= attack_start_s && result.series[i] >= kHealThreshold) {
-      last_bad = static_cast<int>(i);
-    }
-  }
-  if (last_bad == -1) {
-    result.heal_seconds = 0.0;  // never eclipsed past the threshold
-  } else if (last_bad + 1 == static_cast<int>(result.series.size())) {
-    result.heal_seconds = -1.0;  // still eclipsed at the end
-  } else {
-    result.heal_seconds = static_cast<double>(last_bad + 2) - attack_start_s;
-  }
-
-  for (const bsnet::Peer* peer : victim->Peers()) {
-    if (!peer->HandshakeComplete()) continue;
-    if (!peer->inbound && attacker_ips.contains(peer->remote.ip)) {
-      ++result.attacker_outbound_final;
-    }
-    if (peer->inbound && !attacker_ips.contains(peer->remote.ip)) {
-      ++result.honest_inbound_final;
-    }
-  }
-  result.feeler_attempts = victim->FeelerAttempts();
-  result.feeler_promotions = victim->FeelerPromotions();
-  result.anchor_redials = victim->AnchorRedials();
-  result.stale_tip_events = victim->StaleTipEvents();
-  result.tried = victim->Addrs().TriedCount();
-  result.new_entries = victim->Addrs().NewCount();
-  result.bans = victim->Bans().Size();
-  result.victim_height = victim->Chain().TipHeight();
-  result.miner_height = honest[0]->Chain().TipHeight();
+  PhaseResult result{world.Run()};
+  bsnet::Node& victim = *world.Victim();
+  result.feeler_attempts = victim.FeelerAttempts();
+  result.feeler_promotions = victim.FeelerPromotions();
+  result.anchor_redials = victim.AnchorRedials();
+  result.stale_tip_events = victim.StaleTipEvents();
+  result.tried = victim.Addrs().TriedCount();
+  result.new_entries = victim.Addrs().NewCount();
+  result.victim_height = victim.Chain().TipHeight();
+  result.miner_height = world.Miner().Chain().TipHeight();
   return result;
-}
-
-std::string SeriesJson(const std::vector<double>& series) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%s%.4g", i > 0 ? "," : "", series[i]);
-    out += buf;
-  }
-  return out + "]";
 }
 
 }  // namespace
@@ -338,10 +108,10 @@ int main(int argc, char** argv) {
       "distinct /16s (dial in from t=%ds); attacker: %d Sybil inbound sessions\n"
       "(re-occupied), ADDR poisoning every 2 s, one Defamation eviction per\n"
       "2.5 s, %d infrastructure nodes in one /16; %d s run, attack t=%d..%ds\n",
-      kMaxInbound, kTargetOutbound, kHonestPeers,
-      static_cast<int>(kDialInStart / bsim::kSecond), kMaxInbound, kInfraNodes,
-      kRunSeconds, static_cast<int>(kAttackStart / bsim::kSecond),
-      static_cast<int>(kAttackStop / bsim::kSecond));
+      EclipseWorld::kMaxInbound, EclipseWorld::kTargetOutbound,
+      EclipseWorld::kHonestPeers, kDialInSeconds, EclipseWorld::kMaxInbound,
+      kInfraNodes, kRunSeconds, EclipseWorld::kAttackStartSeconds,
+      kAttackStopSeconds);
 
   bsbench::JsonReport report("bench_eclipse_resilience");
   report.SetSeed(42);  // NodeConfig default; every node derives from it
@@ -373,12 +143,12 @@ int main(int argc, char** argv) {
     report.Add("feeler_promotions_" + key, r.feeler_promotions);
     report.Add("anchor_redials_" + key, r.anchor_redials);
     report.Add("stale_tip_events_" + key, r.stale_tip_events);
-    report.Add("attacker_outbound_final_" + key, r.attacker_outbound_final);
+    report.Add("attacker_outbound_final_" + key, r.attacker_outbound);
     report.Add("honest_inbound_final_" + key,
-               static_cast<std::uint64_t>(r.honest_inbound_final));
+               static_cast<std::uint64_t>(r.honest_inbound));
     report.Add("victim_height_" + key, r.victim_height);
     report.Add("miner_height_" + key, r.miner_height);
-    report.AddRaw("series_" + key, SeriesJson(r.series));
+    report.AddRaw("series_" + key, bsbench::SeriesJson(r.series));
     results.emplace_back(phase, r);
   }
 
@@ -406,8 +176,8 @@ int main(int argc, char** argv) {
                   ? "never"
                   : std::to_string(static_cast<int>(hard.heal_seconds)).c_str());
   std::printf("outbound diversity holds (<= 1 attacker outbound):    %s (%d)\n",
-              hard.attacker_outbound_final <= 1 ? "yes" : "NO",
-              hard.attacker_outbound_final);
+              hard.attacker_outbound <= 1 ? "yes" : "NO",
+              hard.attacker_outbound);
   std::printf("feelers verified addresses (promotions > 0):          %s (%llu)\n",
               hard.feeler_promotions > 0 ? "yes" : "NO",
               static_cast<unsigned long long>(hard.feeler_promotions));

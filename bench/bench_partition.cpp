@@ -26,44 +26,24 @@
 //                reconverge on schedule.
 //
 // Reported per phase: tip-gap-to-miner series (1 s samples), final gap,
-// reconverge time from the heal, partition counters, honest-ban census.
+// reconverge time from the heal, partition counters, honest-ban census. The
+// world is bsscenario::PartitionWorld (src/scenario/), shared with
+// `banscore-lab partition` and the ChaosPartition test.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/node.hpp"
-#include "sim/faults.hpp"
-#include "sim/simfs.hpp"
+#include "scenario/partition_world.hpp"
 
 namespace {
 
-using bsnet::Node;
-using bsnet::NodeConfig;
+using bsscenario::PartitionWorld;
 
-constexpr std::uint32_t kVictimIp = 0x0a100001;   // 10.16.0.1
-constexpr std::uint32_t kWitnessIp = 0x0a280001;  // 10.40.0.1 — neither side
-constexpr std::uint32_t kMinerIp = 0x0a200001;    // 10.32.0.1
-constexpr int kBuddies = 4;                       // 10.17-10.20.0.1
-constexpr int kRelays = 3;                        // 10.33-10.35.0.1
-constexpr int kTargetOutbound = 4;
 constexpr int kRunSeconds = 90;
-constexpr bsim::SimTime kMineEvery = 3 * bsim::kSecond;
-constexpr bsim::SimTime kLearnWideNet = 5 * bsim::kSecond;
-constexpr bsim::SimTime kPartitionAt = 10 * bsim::kSecond;
-constexpr bsim::SimTime kHealAt = 45 * bsim::kSecond;
-constexpr bsim::SimTime kCrashAt = 30 * bsim::kSecond;
-constexpr bsim::SimTime kRestartAfter = 4 * bsim::kSecond;
-constexpr bsim::SimTime kDetourDelay = 45 * bsim::kSecond;
-
-constexpr std::uint32_t BuddyIp(int i) {
-  return 0x0a000001 + (static_cast<std::uint32_t>(17 + i) << 16);
-}
-constexpr std::uint32_t RelayIp(int i) {
-  return 0x0a000001 + (static_cast<std::uint32_t>(33 + i) << 16);
-}
+constexpr int kHealAtSeconds = kRunSeconds / 2;
 
 enum class Phase { kStock, kHardened, kHardenedRestart };
 
@@ -76,19 +56,13 @@ const char* PhaseName(Phase phase) {
   return "?";
 }
 
-struct PhaseResult {
-  std::vector<int> gap_series;  // miner tip − victim tip, one sample per second
-  int final_gap = 0;            // last sample
-  double reconverge_seconds = -1.0;  // from the heal; -1 = never
+struct PhaseResult : bsscenario::PartitionOutcome {
   std::uint64_t probes_sent = 0;
   std::uint64_t probe_replies = 0;
   std::uint64_t suspect_windows = 0;
   std::uint64_t recovery_actions = 0;
   std::uint64_t recoveries = 0;
-  std::uint64_t deferred_penalties = 0;  // victim + buddies
   std::uint64_t stale_tip_events = 0;
-  std::size_t honest_bans = 0;  // every node in this world is honest
-  int max_honest_score = 0;     // worst tracker score anywhere in the world
   std::size_t victim_outbound_final = 0;
   int victim_height = 0;
   int miner_height = 0;
@@ -97,209 +71,34 @@ struct PhaseResult {
   std::uint64_t host_crashes = 0;
 };
 
-NodeConfig VictimConfig(Phase phase) {
-  NodeConfig config;
-  config.target_outbound = kTargetOutbound;
-  if (phase == Phase::kStock) return config;
-  config.enable_partition_resilience = true;  // partition_damping defaults on
-  config.enable_anchors = true;
-  config.enable_stale_tip_recovery = true;
-  config.stale_tip_timeout = 15 * bsim::kSecond;
-  return config;
-}
-
 PhaseResult RunPhase(Phase phase) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  bsim::FaultPlan plan(sched, /*seed=*/4242);
-  net.SetFaultPlan(&plan);
-  bsim::SimFs fs(7);
+  bsscenario::PartitionSpec spec;
+  spec.hardened = phase != Phase::kStock;
+  spec.run_seconds = kRunSeconds;
+  spec.fault_seed = 4242;
+  // The restart phase crashes the victim mid-partition (durable store on);
+  // the reborn process must re-detect and still reconverge on schedule.
+  spec.crash_restart = phase == Phase::kHardenedRestart;
+  spec.durable_store = spec.crash_restart;
+  spec.store_dir = "partition-bench-store";
+  PartitionWorld world(spec);
 
-  NodeConfig config = VictimConfig(phase);
-  if (phase == Phase::kHardenedRestart) {
-    config.enable_durable_store = true;
-    config.store_dir = "partition-bench-store";
-    config.store_fs = &fs;
-  }
-
-  // Mining side: one miner + a small relay mesh, each in its own /16.
-  std::vector<std::unique_ptr<Node>> world;
-  const auto add_node = [&](std::uint32_t ip, NodeConfig nc,
-                            std::vector<std::uint32_t> known,
-                            bsim::SimTime start_at) -> Node* {
-    auto node = std::make_unique<Node>(sched, net, ip, nc);
-    for (const std::uint32_t k : known) node->AddKnownAddress({k, 8333});
-    Node* raw = node.get();
-    sched.After(start_at, [raw]() { raw->Start(); });
-    world.push_back(std::move(node));
-    return raw;
-  };
-
-  NodeConfig miner_cfg;
-  miner_cfg.chain = config.chain;
-  miner_cfg.target_outbound = kRelays;
-  miner_cfg.rng_seed = 2000;
-  Node* miner = add_node(kMinerIp, miner_cfg,
-                         {RelayIp(0), RelayIp(1), RelayIp(2)}, 0);
-  for (int i = 0; i < kRelays; ++i) {
-    NodeConfig rc;
-    rc.chain = config.chain;
-    rc.target_outbound = 2;
-    rc.rng_seed = 2100 + static_cast<std::uint64_t>(i);
-    add_node(RelayIp(i), rc, {kMinerIp, RelayIp((i + 1) % kRelays)},
-             50 * bsim::kMillisecond * (i + 1));
-  }
-
-  // Victim-side buddies: each bridges one detoured relay link into the
-  // victim's side of the cut. Hardened phases switch their monitor on too —
-  // the damping A/B at the buddies is part of what the phase compares.
-  std::vector<Node*> buddies;
-  for (int i = 0; i < kBuddies; ++i) {
-    NodeConfig bc;
-    bc.chain = config.chain;
-    bc.target_outbound = 2;
-    bc.rng_seed = 1000 + static_cast<std::uint64_t>(i);
-    bc.enable_partition_resilience = phase != Phase::kStock;
-    buddies.push_back(add_node(BuddyIp(i), bc, {RelayIp(i % kRelays), kVictimIp},
-                               300 * bsim::kMillisecond + i * 50 * bsim::kMillisecond));
-  }
-
-  // The witness: a listen-only node in a /16 the detour does not touch, with
-  // healthy routes to both sides. relay=false means it never announces a
-  // block to anyone — the only thing it leaks is tip-probe answers, which is
-  // exactly the gossip channel the partition monitor feeds on.
-  NodeConfig wc;
-  wc.chain = config.chain;
-  wc.target_outbound = 2;
-  wc.rng_seed = 3000;
-  wc.relay = false;
-  wc.enable_partition_resilience = true;
-  add_node(kWitnessIp, wc, {kVictimIp, kMinerIp}, 600 * bsim::kMillisecond);
-
-  // The victim: boots knowing only its own side. The wider network's
-  // addresses arrive shortly after boot — the stock node's slots are already
-  // full by then, so only the partition machinery ever uses them.
-  std::vector<std::unique_ptr<Node>> graveyard;
-  std::unique_ptr<Node> victim;
-  const auto spawn_victim = [&](bool knows_wide_net) {
-    auto node = std::make_unique<Node>(sched, net, kVictimIp, config);
-    for (int i = 0; i < kBuddies; ++i) node->AddKnownAddress({BuddyIp(i), 8333});
-    if (knows_wide_net) {
-      node->AddKnownAddress({kMinerIp, 8333});
-      for (int i = 0; i < kRelays; ++i) node->AddKnownAddress({RelayIp(i), 8333});
-    }
-    node->Start();
-    return node;
-  };
-  sched.After(bsim::kSecond, [&]() { victim = spawn_victim(false); });
-  sched.After(kLearnWideNet, [&]() {
-    if (victim == nullptr) return;
-    victim->AddKnownAddress({kMinerIp, 8333});
-    for (int i = 0; i < kRelays; ++i) victim->AddKnownAddress({RelayIp(i), 8333});
-  });
-
-  auto mine = std::make_shared<std::function<void()>>();
-  *mine = [&sched, miner, mine]() {
-    miner->MineAndRelay();
-    sched.After(kMineEvery, [mine]() { (*mine)(); });
-  };
-  sched.After(2 * bsim::kSecond, [mine]() { (*mine)(); });
-
-  // The routing cut: every segment from the mining side back to the victim's
-  // side takes the 45 s detour; the forward path is untouched (the pure
-  // one-way hijack). At kHealAt only the victim's own /16 is repaired — the
-  // staged, prefix-by-prefix resolution of a real incident.
-  std::vector<std::uint32_t> side_a = {bsim::FaultPlan::GroupOf(kVictimIp)};
-  for (int i = 0; i < kBuddies; ++i) {
-    side_a.push_back(bsim::FaultPlan::GroupOf(BuddyIp(i)));
-  }
-  std::vector<std::uint32_t> side_b = {bsim::FaultPlan::GroupOf(kMinerIp)};
-  for (int i = 0; i < kRelays; ++i) {
-    side_b.push_back(bsim::FaultPlan::GroupOf(RelayIp(i)));
-  }
-  plan.ScheduleDelayPartition(side_a, side_b, /*ab=*/0, /*ba=*/kDetourDelay,
-                              kPartitionAt);
-  plan.SchedulePartialHeal({bsim::FaultPlan::GroupOf(kVictimIp)}, side_b, kHealAt);
-
-  if (phase == Phase::kHardenedRestart) {
-    plan.on_host_crash = [&](std::uint32_t ip) {
-      if (ip != kVictimIp || victim == nullptr) return;
-      victim->Stop();
-      graveyard.push_back(std::move(victim));
-    };
-    plan.on_host_restart = [&](std::uint32_t ip) {
-      if (ip == kVictimIp) victim = spawn_victim(true);
-    };
-    plan.ScheduleCrash(kVictimIp, kCrashAt, kRestartAfter);
-  }
-
-  PhaseResult result;
-  result.gap_series.reserve(kRunSeconds);
-  for (int s = 1; s <= kRunSeconds; ++s) {
-    sched.RunUntil(s * bsim::kSecond);
-    const int miner_h = miner->Chain().TipHeight();
-    const int victim_h = victim == nullptr ? 0 : victim->Chain().TipHeight();
-    result.gap_series.push_back(miner_h - victim_h);
-  }
-
-  result.final_gap = result.gap_series.back();
-  // Reconvergence: seconds from the heal until the gap drops to <= 1 block
-  // and stays there for the rest of the run.
-  const int heal_s = static_cast<int>(kHealAt / bsim::kSecond);
-  int last_bad = -1;
-  for (int i = heal_s; i < static_cast<int>(result.gap_series.size()); ++i) {
-    if (result.gap_series[static_cast<std::size_t>(i)] > 1) last_bad = i;
-  }
-  if (last_bad == -1) {
-    result.reconverge_seconds = 0.0;
-  } else if (last_bad + 1 == static_cast<int>(result.gap_series.size())) {
-    result.reconverge_seconds = -1.0;  // still diverged at the end
-  } else {
-    result.reconverge_seconds = static_cast<double>(last_bad + 2 - heal_s);
-  }
-
-  if (victim != nullptr) {
+  PhaseResult result{world.Run()};
+  if (bsnet::Node* victim = world.Victim()) {
     result.probes_sent = victim->TipProbesSent();
     result.probe_replies = victim->TipProbeReplies();
     result.suspect_windows = victim->PartitionSuspectWindows();
     result.recovery_actions = victim->PartitionRecoveryActions();
     result.recoveries = victim->PartitionRecoveries();
-    result.deferred_penalties = victim->DeferredPenalties();
     result.stale_tip_events = victim->StaleTipEvents();
     result.victim_outbound_final = victim->OutboundCount();
     result.victim_height = victim->Chain().TipHeight();
   }
-  result.miner_height = miner->Chain().TipHeight();
-
-  // Honest-ban census over the whole world: there is no attacker here, so
-  // every ban and every tracker point is friendly fire.
-  const auto census = [&](Node& node) {
-    result.honest_bans += node.Bans().Size();
-    for (const bsnet::Peer* peer : node.Peers()) {
-      result.max_honest_score =
-          std::max(result.max_honest_score, node.Tracker().Score(peer->id));
-    }
-  };
-  for (const auto& node : world) census(*node);
-  if (victim != nullptr) census(*victim);
-  for (Node* buddy : buddies) {
-    result.deferred_penalties += buddy->DeferredPenalties();
-  }
-
-  result.routing_partitions = plan.RoutingPartitions();
-  result.delayed_segments = plan.SegmentsDelayedRouting();
-  result.host_crashes = plan.HostCrashes();
+  result.miner_height = world.Miner().Chain().TipHeight();
+  result.routing_partitions = world.Plan().RoutingPartitions();
+  result.delayed_segments = world.Plan().SegmentsDelayedRouting();
+  result.host_crashes = world.Plan().HostCrashes();
   return result;
-}
-
-std::string SeriesJson(const std::vector<int>& series) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    char buf[16];
-    std::snprintf(buf, sizeof(buf), "%s%d", i > 0 ? "," : "", series[i]);
-    out += buf;
-  }
-  return out + "]";
 }
 
 }  // namespace
@@ -313,12 +112,10 @@ int main(int argc, char** argv) {
       "A->B clean) at t=%ds; victim's own /16 healed at t=%ds; miner on a %d s\n"
       "cadence; listen-only witness with healthy routes answers tip-probes;\n"
       "restart phase crashes the victim at t=%ds (+%ds rebirth); %d s run\n",
-      kBuddies, static_cast<int>(kDetourDelay / bsim::kSecond),
-      static_cast<int>(kPartitionAt / bsim::kSecond),
-      static_cast<int>(kHealAt / bsim::kSecond),
-      static_cast<int>(kMineEvery / bsim::kSecond),
-      static_cast<int>(kCrashAt / bsim::kSecond),
-      static_cast<int>(kRestartAfter / bsim::kSecond), kRunSeconds);
+      PartitionWorld::kBuddies, PartitionWorld::kDetourSeconds,
+      PartitionWorld::kPartitionAtSeconds, kHealAtSeconds,
+      PartitionWorld::kMineEverySeconds, PartitionWorld::kCrashAtSeconds,
+      PartitionWorld::kRestartAfterSeconds, kRunSeconds);
 
   bsbench::JsonReport report("bench_partition");
   report.SetSeed(42);  // NodeConfig default; every node derives from it
@@ -362,7 +159,7 @@ int main(int argc, char** argv) {
     report.Add("miner_height_" + key, r.miner_height);
     report.Add("routing_partitions_" + key, r.routing_partitions);
     report.Add("delayed_segments_" + key, r.delayed_segments);
-    report.AddRaw("series_gap_" + key, SeriesJson(r.gap_series));
+    report.AddRaw("series_gap_" + key, bsbench::SeriesJson(r.gap_series));
     results.emplace_back(phase, r);
   }
 
@@ -412,8 +209,9 @@ int main(int argc, char** argv) {
                   : "NO",
               std::max(hard.max_honest_score, restart.max_honest_score));
   std::printf("emergency slot released after recovery (outbound == %d):  %s (%zu)\n",
-              kTargetOutbound,
-              hard.victim_outbound_final == static_cast<std::size_t>(kTargetOutbound)
+              PartitionWorld::kTargetOutbound,
+              hard.victim_outbound_final ==
+                      static_cast<std::size_t>(PartitionWorld::kTargetOutbound)
                   ? "yes"
                   : "NO",
               hard.victim_outbound_final);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -81,6 +82,24 @@ inline double TimeNsPerCall(const std::function<void()>& fn, int inner_iteration
 
 // ---------------------------------------------------------------------------
 // --json reporting
+
+/// A per-second series as a JSON array: floating-point samples print with
+/// %.4g, integral ones in full.
+template <typename T>
+std::string SeriesJson(const std::vector<T>& series) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    if (i > 0) out += ",";
+    if constexpr (std::is_floating_point_v<T>) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.4g", static_cast<double>(series[i]));
+      out += buf;
+    } else {
+      out += std::to_string(series[i]);
+    }
+  }
+  return out + "]";
+}
 
 /// Strip a `--json <path>` flag from argv (so google-benchmark's own flag
 /// parsing never sees it) and return the path, or "" when absent.

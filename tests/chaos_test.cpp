@@ -17,20 +17,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "attack/attacker.hpp"
 #include "attack/bmdos.hpp"
 #include "attack/crafter.hpp"
-#include "attack/eclipse.hpp"
 #include "attack/traffic.hpp"
 #include "core/node.hpp"
 #include "detect/engine.hpp"
 #include "detect/monitor.hpp"
+#include "scenario/chaos_world.hpp"
+#include "scenario/eclipse_world.hpp"
+#include "scenario/partition_world.hpp"
 #include "sim/faults.hpp"
 #include "sim/simfs.hpp"
 #include "store/fsck.hpp"
@@ -43,260 +43,39 @@ using bsattack::AttackSession;
 using bsattack::Crafter;
 using bsim::FaultPlan;
 using bsim::FaultSpec;
+using bsscenario::ChaosWorld;
 
-constexpr std::uint32_t kVictimIp = 0x0a000001;
-constexpr std::uint32_t kAttackerIp = 0x0a000066;
-constexpr std::uint32_t kHonestBase = 0x0a000100;
-constexpr int kHonestPeers = 4;
+constexpr std::uint32_t kVictimIp = ChaosWorld::kVictimIp;
+constexpr std::uint32_t kAttackerIp = ChaosWorld::kAttackerIp;
+constexpr std::uint32_t kHonestBase = ChaosWorld::kHonestBase;
+constexpr int kHonestPeers = ChaosWorld::kHonestPeers;
 
-NodeConfig ChaosVictimConfig() {
-  NodeConfig config;
-  config.target_outbound = kHonestPeers;
-  // Short ban so expiry happens inside the run.
-  config.ban_duration = 30 * bsim::kSecond;
-  // All the hardening on, so chaos exercises it: keepalive + dead-peer
-  // detection, handshake watchdog, bounded receive buffers, dial backoff.
-  config.ping_interval = 2 * bsim::kSecond;
-  config.ping_timeout = 10 * bsim::kSecond;
-  config.handshake_timeout = 8 * bsim::kSecond;
-  config.reconnect_backoff = true;
-  config.reconnect_backoff_cap = 8 * bsim::kSecond;  // recovers within the run
-  config.trace_capacity = 4096;
-  return config;
+bsscenario::ChaosSpec ChaosSpecFor(std::uint64_t seed, const std::string& tag) {
+  bsscenario::ChaosSpec spec;
+  spec.seed = seed;
+  spec.banlist_path =
+      ::testing::TempDir() + "/chaos_" + tag + "_" + std::to_string(seed) + ".dat";
+  return spec;
 }
 
-// One self-contained chaos world: a hardened victim, a few honest peers, an
-// attacker, and a seeded FaultPlan. All drivers (honest traffic, attack
-// loop, flaps, crash/restart) run off the one scheduler, so the whole run is
-// a pure function of the seed.
-class ChaosWorld {
- public:
-  ChaosWorld(std::uint64_t seed, const std::string& tag,
-             NodeConfig victim_config = ChaosVictimConfig())
-      : net(sched),
-        plan(sched, seed),
-        chaos_rng(seed * 7919 + 1),
-        victim_config_(victim_config) {
-    banlist_path_ =
-        ::testing::TempDir() + "/chaos_" + tag + "_" + std::to_string(seed) + ".dat";
-    net.SetFaultPlan(&plan);  // before any connection: reliable TCP from t=0
-    for (int i = 0; i < kHonestPeers; ++i) {
-      NodeConfig pc;
-      pc.target_outbound = 0;
-      pc.rng_seed = 1000 + i;
-      honest.push_back(std::make_unique<Node>(sched, net, kHonestBase + i, pc));
-      honest.back()->Start();
-    }
-    attacker = std::make_unique<AttackerNode>(sched, net, kAttackerIp,
-                                              victim_config_.chain.magic);
-    crafter = std::make_unique<Crafter>(victim_config_.chain);
-    SpawnVictim(/*load_banlist=*/false);
-  }
-
-  ~ChaosWorld() { std::remove(banlist_path_.c_str()); }
-
-  // ---- World surgery ----
-
-  void SpawnVictim(bool load_banlist) {
-    victim = std::make_unique<Node>(sched, net, kVictimIp, victim_config_);
-    if (load_banlist) victim->Bans().LoadFromFile(banlist_path_, sched.Now());
-    for (const auto& peer : honest) victim->AddKnownAddress({peer->Ip(), 8333});
-    AttachInvariantHooks();
-    victim->Start();
-  }
-
-  /// Crash the victim: persist its banlist, silence it, keep the carcass
-  /// allocated until the run ends (in-flight events may still reference it).
-  void CrashVictim() {
-    victim->Bans().SaveToFile(banlist_path_);
-    victim->Stop();
-    graveyard_.push_back(std::move(victim));
-  }
-
-  void CrashHonest(std::size_t index) {
-    honest[index]->Stop();
-    graveyard_.push_back(std::move(honest[index]));
-  }
-
-  void RestartHonest(std::size_t index) {
-    NodeConfig pc;
-    pc.target_outbound = 0;
-    pc.rng_seed = 1000 + static_cast<std::uint64_t>(index);
-    honest[index] = std::make_unique<Node>(sched, net, kHonestBase + index, pc);
-    honest[index]->Start();
-  }
-
-  // ---- Invariant bookkeeping ----
-
-  void AttachInvariantHooks() {
-    victim->on_misbehavior = [this](const Peer& peer, Misbehavior,
-                                    const MisbehaviorOutcome& outcome) {
-      if (!outcome.rule_applied) return;
-      scored_ips.insert(peer.remote.ip);
-      if (outcome.total_score >= victim->Config().ban_threshold &&
-          !outcome.should_ban) {
-        ++threshold_crossings_without_ban;
-      }
-    };
-    victim->on_peer_banned = [this](const Peer& peer) {
-      ++ban_events[peer.remote];
-      last_banned = peer.remote;
-    };
-  }
-
-  // ---- Drivers ----
-
-  /// Honest peers ping the victim twice a second — protocol-legal traffic
-  /// that must never earn a misbehavior point regardless of link faults.
-  void StartHonestTraffic() {
-    honest_running_ = true;
-    HonestTick();
-  }
-  void StopHonestTraffic() { honest_running_ = false; }
-
-  /// The attacker keeps one session to the victim and sends a
-  /// segwit-invalid TX (100 points, Table I) every 2 s: each delivery is an
-  /// instant threshold crossing, so the run produces a stream of
-  /// ban → expiry → re-ban cycles across Sybil identifiers.
-  void StartAttack() {
-    attack_running_ = true;
-    AttackTick();
-  }
-  void StopAttack() { attack_running_ = false; }
-
-  FaultSpec RandomSpec() {
-    FaultSpec spec;
-    spec.loss = 0.08 * chaos_rng.NextDouble();
-    spec.duplicate = 0.06 * chaos_rng.NextDouble();
-    spec.reorder = 0.10 * chaos_rng.NextDouble();
-    spec.corrupt = 0.05 * chaos_rng.NextDouble();
-    return spec;
-  }
-
-  std::uint32_t RandomHonestIp() {
-    return kHonestBase +
-           static_cast<std::uint32_t>(chaos_rng.Below(kHonestPeers));
-  }
-
-  /// Counter fingerprint for determinism comparison (paired with the
-  /// human-readable trace ring).
-  std::string Fingerprint() const {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "msgs=%llu bans=%llu shed=%llu segs=%llu loss=%llu dup=%llu "
-                  "reord=%llu corr=%llu part=%llu retx=%llu",
-                  static_cast<unsigned long long>(victim->TotalMessagesReceived()),
-                  static_cast<unsigned long long>(victim->PeersBanned()),
-                  static_cast<unsigned long long>(victim->RxBytesShed()),
-                  static_cast<unsigned long long>(net.SegmentsSent()),
-                  static_cast<unsigned long long>(plan.SegmentsDroppedLoss()),
-                  static_cast<unsigned long long>(plan.SegmentsDuplicated()),
-                  static_cast<unsigned long long>(plan.SegmentsDelayed()),
-                  static_cast<unsigned long long>(plan.SegmentsCorrupted()),
-                  static_cast<unsigned long long>(plan.SegmentsDroppedPartition()),
-                  static_cast<unsigned long long>(net.SegmentsRetransmitted()));
-    return std::string(buf) + "\n" + victim->Trace().Render(128);
-  }
-
-  const std::string& BanlistPath() const { return banlist_path_; }
-
-  bsim::Scheduler sched;
-  bsim::Network net;
-  FaultPlan plan;
-  bsutil::Rng chaos_rng;
-
-  std::vector<std::unique_ptr<Node>> honest;
-  std::unique_ptr<Node> victim;
-  std::unique_ptr<AttackerNode> attacker;
-  std::unique_ptr<Crafter> crafter;
-
-  // Invariant observations.
-  std::set<std::uint32_t> scored_ips;
-  int threshold_crossings_without_ban = 0;
-  std::map<Endpoint, int> ban_events;
-  Endpoint last_banned;
-  std::uint64_t attack_deliveries = 0;
-
- private:
-  void HonestTick() {
-    if (!honest_running_) return;
-    for (const auto& peer : honest) {
-      if (peer != nullptr) {
-        peer->SendToRemoteIp(kVictimIp, bsproto::PingMsg{++honest_nonce_});
-      }
-    }
-    sched.After(500 * bsim::kMillisecond, [this]() { HonestTick(); });
-  }
-
-  void AttackTick() {
-    if (!attack_running_) return;
-    AttackSession* ready = nullptr;
-    bool any_live = false;
-    for (AttackSession* session : attacker->LiveSessions()) {
-      any_live = true;
-      if (session->SessionReady()) {
-        ready = session;
-        break;
-      }
-    }
-    if (ready != nullptr) {
-      attacker->Send(*ready, crafter->SegwitInvalidTx());
-      ++attack_deliveries;
-    } else if (!any_live) {
-      // Previous identifier banned (or handshake lost to faults): come back
-      // as a fresh Sybil identifier. Stuck half-open sessions clear
-      // themselves via the SYN timeout.
-      attacker->OpenSession({kVictimIp, 8333});
-    }
-    sched.After(2 * bsim::kSecond, [this]() { AttackTick(); });
-  }
-
-  NodeConfig victim_config_;
-  std::string banlist_path_;
-  std::vector<std::unique_ptr<Node>> graveyard_;
-  bool honest_running_ = false;
-  bool attack_running_ = false;
-  std::uint64_t honest_nonce_ = 0;
-};
-
-/// The full randomized scenario one seed runs through. Returns after the
-/// post-chaos heal + ban-expiry horizon.
-void RunChaosScenario(ChaosWorld& world) {
-  // Clean boot: all outbound slots fill before the weather turns.
-  world.sched.RunUntil(5 * bsim::kSecond);
-  ASSERT_EQ(world.victim->OutboundCount(), static_cast<std::size_t>(kHonestPeers));
-
-  // Randomized weather for 60 s: per-segment faults everywhere, two link
-  // flaps against the victim, one honest peer crash with restart.
-  world.plan.SetDefaultFaults(world.RandomSpec());
-  for (int flap = 0; flap < 2; ++flap) {
-    const bsim::SimTime at =
-        5 * bsim::kSecond +
-        static_cast<bsim::SimTime>(world.chaos_rng.NextDouble() * 40) * bsim::kSecond;
-    const bsim::SimTime down =
-        (1 + static_cast<bsim::SimTime>(world.chaos_rng.NextDouble() * 3)) *
-        bsim::kSecond;
-    world.plan.ScheduleLinkFlap(kVictimIp, world.RandomHonestIp(), at, down);
-  }
-  const std::size_t crash_index = world.chaos_rng.Below(kHonestPeers);
-  world.plan.on_host_crash = [&world, crash_index](std::uint32_t) {
-    world.CrashHonest(crash_index);
-  };
-  world.plan.on_host_restart = [&world, crash_index](std::uint32_t) {
-    world.RestartHonest(crash_index);
-  };
-  world.plan.ScheduleCrash(kHonestBase + static_cast<std::uint32_t>(crash_index),
-                           20 * bsim::kSecond, 8 * bsim::kSecond);
-
-  world.StartHonestTraffic();
-  world.StartAttack();
-  world.sched.RunUntil(65 * bsim::kSecond);
-
-  // Heal: attack off, weather off, run past the ban-expiry horizon.
-  world.StopAttack();
-  world.plan.SetDefaultFaults(FaultSpec{});
-  world.sched.RunUntil(65 * bsim::kSecond + world.victim->Config().ban_duration +
-                       15 * bsim::kSecond);
+/// Counter fingerprint for determinism comparison (paired with the
+/// human-readable trace ring).
+std::string Fingerprint(ChaosWorld& world) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "msgs=%llu bans=%llu shed=%llu segs=%llu loss=%llu dup=%llu "
+                "reord=%llu corr=%llu part=%llu retx=%llu",
+                static_cast<unsigned long long>(world.victim->TotalMessagesReceived()),
+                static_cast<unsigned long long>(world.victim->PeersBanned()),
+                static_cast<unsigned long long>(world.victim->RxBytesShed()),
+                static_cast<unsigned long long>(world.net.SegmentsSent()),
+                static_cast<unsigned long long>(world.plan.SegmentsDroppedLoss()),
+                static_cast<unsigned long long>(world.plan.SegmentsDuplicated()),
+                static_cast<unsigned long long>(world.plan.SegmentsDelayed()),
+                static_cast<unsigned long long>(world.plan.SegmentsCorrupted()),
+                static_cast<unsigned long long>(world.plan.SegmentsDroppedPartition()),
+                static_cast<unsigned long long>(world.net.SegmentsRetransmitted()));
+  return std::string(buf) + "\n" + world.victim->Trace().Render(128);
 }
 
 void AssertChaosInvariants(ChaosWorld& world) {
@@ -336,9 +115,15 @@ void AssertChaosInvariants(ChaosWorld& world) {
 
 class ChaosSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Each run: clean boot (all outbound slots fill before the weather turns),
+// 60 s of randomized weather (per-segment faults everywhere, two link flaps
+// against the victim inside the first 40 s, one honest peer crash with
+// restart), then the heal past the ban-expiry horizon.
 TEST_P(ChaosSweep, InvariantsHoldUnderRandomizedFaults) {
-  ChaosWorld world(GetParam(), "sweep");
-  RunChaosScenario(world);
+  ChaosWorld world(ChaosSpecFor(GetParam(), "sweep"));
+  world.Boot();
+  ASSERT_EQ(world.victim->OutboundCount(), static_cast<std::size_t>(kHonestPeers));
+  world.RunWeatherAndHeal(60, 40);
   AssertChaosInvariants(world);
 }
 
@@ -349,9 +134,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep, ::testing::Range<std::uint64_t>(1, 5
 
 TEST(ChaosDeterminism, SameSeedSameRunDifferentSeedDifferentRun) {
   auto run = [](std::uint64_t seed) {
-    ChaosWorld world(seed, "det");
-    RunChaosScenario(world);
-    return world.Fingerprint();
+    ChaosWorld world(ChaosSpecFor(seed, "det"));
+    world.Boot();
+    world.RunWeatherAndHeal(60, 40);
+    return Fingerprint(world);
   };
   const std::string first = run(7);
   const std::string second = run(7);
@@ -364,9 +150,9 @@ TEST(ChaosDeterminism, SameSeedSameRunDifferentSeedDifferentRun) {
 // persisted banlist; the ban survives the reboot.
 
 TEST(ChaosCrashRestart, VictimRebuildsFromPersistedBanlist) {
-  NodeConfig config = ChaosVictimConfig();
-  config.ban_duration = 2 * bsim::kHour;  // survives the whole test
-  ChaosWorld world(21, "crash", config);
+  bsscenario::ChaosSpec spec = ChaosSpecFor(21, "crash");
+  spec.victim.ban_duration = 2 * bsim::kHour;  // survives the whole test
+  ChaosWorld world(spec);
 
   world.sched.RunUntil(5 * bsim::kSecond);
   FaultSpec mild;
@@ -413,12 +199,12 @@ TEST(ChaosCrashRestart, VictimRebuildsFromPersistedBanlist) {
 
 TEST(ChaosCrashRestart, DurableStoreVictimRebuildsWithoutBanlistFile) {
   bsim::SimFs fs(33);
-  NodeConfig config = ChaosVictimConfig();
-  config.ban_duration = 2 * bsim::kHour;  // survives the whole test
-  config.enable_durable_store = true;
-  config.store_dir = "victim-store";
-  config.store_fs = &fs;
-  ChaosWorld world(33, "durable", config);
+  bsscenario::ChaosSpec spec = ChaosSpecFor(33, "durable");
+  spec.victim.ban_duration = 2 * bsim::kHour;  // survives the whole test
+  spec.victim.enable_durable_store = true;
+  spec.victim.store_dir = "victim-store";
+  spec.victim.store_fs = &fs;
+  ChaosWorld world(spec);
   ASSERT_NE(world.victim->Durable(), nullptr);
 
   world.sched.RunUntil(5 * bsim::kSecond);
@@ -662,171 +448,34 @@ class ChaosEclipseHeal : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosEclipseHeal, VictimRecoversControlAcrossCrashAndLoss) {
   const std::uint64_t seed = GetParam();
-  constexpr std::uint32_t kEclVictim = 0x0a000001;
-  constexpr std::uint32_t kEclAttacker = 0xc0a80001;
-  constexpr int kEclHonest = 12;
-  constexpr int kEclInfra = 4;
-
-  bsim::SimFs fs(seed);
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  FaultPlan plan(sched, seed);
-  net.SetFaultPlan(&plan);
-  // Clean boot, then weather (the sweep's convention): the mesh links and
-  // the first blocks must land before loss starts, because a ring link that
-  // misses a block at mine time has no catch-up sync to recover through.
-  FaultSpec lossy;
-  lossy.loss = 0.05;
-  sched.After(4 * bsim::kSecond,
-              [&plan, lossy]() { plan.SetDefaultFaults(lossy); });
-
-  NodeConfig config;
-  config.max_inbound = 16;
-  config.target_outbound = 6;
-  config.ban_duration = 60 * bsim::kSecond;
-  config.enable_eviction = true;
-  config.inactivity_timeout = 15 * bsim::kSecond;
-  config.enable_addrman_bucketing = true;
-  config.enable_anchors = true;
-  config.enable_feelers = true;
-  config.feeler_interval = 5 * bsim::kSecond;
-  config.feeler_timeout = 3 * bsim::kSecond;
-  config.enable_outbound_diversity = true;
-  config.enable_stale_tip_recovery = true;
-  config.stale_tip_timeout = 10 * bsim::kSecond;
-  config.enable_durable_store = true;
-  config.store_dir = "eclipse-chaos-store";
-  config.store_fs = &fs;
-  config.rng_seed = seed;
-
-  Crafter crafter(config.chain);
-  std::vector<std::unique_ptr<Node>> honest;
-  for (int i = 0; i < kEclHonest; ++i) {
-    NodeConfig pc;
-    pc.chain = config.chain;
-    pc.target_outbound = 3;
-    pc.rng_seed = 1000 + static_cast<std::uint64_t>(i);
-    auto node = std::make_unique<Node>(
-        sched, net, 0x0a000001 + (static_cast<std::uint32_t>(16 + i) << 16), pc);
-    node->AddKnownAddress(
-        {0x0a000001 + (static_cast<std::uint32_t>(16 + (i + 1) % kEclHonest) << 16),
-         pc.listen_port});
-    node->AddKnownAddress(
-        {0x0a000001 + (static_cast<std::uint32_t>(16 + (i + 2) % kEclHonest) << 16),
-         pc.listen_port});
-    honest.push_back(std::move(node));
-  }
-  for (int i = 0; i < kEclHonest; ++i) {
-    const int idx = i;
-    sched.After(idx * 50 * bsim::kMillisecond,
-                [&honest, idx]() { honest[static_cast<std::size_t>(idx)]->Start(); });
-    sched.After(20 * bsim::kSecond + idx * 1500 * bsim::kMillisecond,
-                [&honest, idx]() {
-                  honest[static_cast<std::size_t>(idx)]->AddKnownAddress(
-                      {kEclVictim, 8333});
-                });
-    auto send_tx = std::make_shared<std::function<void()>>();
-    *send_tx = [&honest, &sched, &crafter, idx, send_tx]() {
-      honest[static_cast<std::size_t>(idx)]->SendToRemoteIp(kEclVictim,
-                                                            crafter.ValidTx());
-      sched.After(2 * bsim::kSecond, [send_tx]() { (*send_tx)(); });
-    };
-    sched.After(20 * bsim::kSecond + idx * 1500 * bsim::kMillisecond +
-                    200 * bsim::kMillisecond,
-                [send_tx]() { (*send_tx)(); });
-  }
-  auto mine = std::make_shared<std::function<void()>>();
-  *mine = [&honest, &sched, mine]() {
-    honest[0]->MineAndRelay();
-    sched.After(3 * bsim::kSecond, [mine]() { (*mine)(); });
-  };
-  sched.After(2 * bsim::kSecond, [mine]() { (*mine)(); });
-
-  std::vector<std::unique_ptr<Node>> infra;
-  std::vector<Node*> infra_ptrs;
-  std::set<std::uint32_t> attacker_ips = {kEclAttacker};
-  for (int i = 0; i < kEclInfra; ++i) {
-    NodeConfig ic;
-    ic.chain = config.chain;
-    ic.target_outbound = 0;
-    ic.rng_seed = 2000 + static_cast<std::uint64_t>(i);
-    auto node = std::make_unique<Node>(sched, net,
-                                       0xc0a80002 + static_cast<std::uint32_t>(i), ic);
-    node->Start();
-    infra_ptrs.push_back(node.get());
-    attacker_ips.insert(node->Ip());
-    infra.push_back(std::move(node));
-  }
-
-  std::vector<std::unique_ptr<Node>> graveyard;
-  auto victim = std::make_unique<Node>(sched, net, kEclVictim, config);
-  ASSERT_NE(victim->Durable(), nullptr);
-  for (int i = 0; i < kEclHonest; ++i) {
-    victim->AddKnownAddress(
-        {0x0a000001 + (static_cast<std::uint32_t>(16 + i) << 16), 8333});
-  }
-  victim->Start();
-
-  AttackerNode attacker(sched, net, kEclAttacker, config.chain.magic);
-  bsattack::EclipseConfig ec;
-  ec.inbound_sessions = 16;
-  ec.addr_gossip_rounds = 4;
-  ec.addrs_per_message = 400;
-  ec.defame_interval = 2500 * bsim::kMillisecond;
-  ec.repoison_interval = 2 * bsim::kSecond;
-  ec.reoccupy_inbound = true;
-  auto attack = std::make_unique<bsattack::EclipseAttack>(attacker, *victim,
-                                                          infra_ptrs, ec);
-  sched.After(5 * bsim::kSecond, [&attack]() { attack->Start(); });
-
+  bsscenario::EclipseSpec spec;
+  spec.run_seconds = 70;
+  spec.attack_stop_seconds = 45;
+  spec.dial_in_seconds = 20;
+  spec.victim_seed = seed;
+  spec.infra_nodes = 4;
+  spec.inactivity_timeout = 15 * bsim::kSecond;
   // Crash mid-attack, rebuild from the WAL two (sim) seconds later. The
   // reborn node gets NO address re-seeding: everything it knows — addresses,
   // bans, anchors — must come out of the durable store replay.
-  std::unique_ptr<bsattack::EclipseAttack> attack2;
-  sched.After(9 * bsim::kSecond, [&]() {
-    attack->Stop();
-    victim->Stop();
-    graveyard.push_back(std::move(victim));
-  });
-  sched.After(11 * bsim::kSecond, [&]() {
-    victim = std::make_unique<Node>(sched, net, kEclVictim, config);
-    victim->Start();
-  });
-  sched.After(11500 * bsim::kMillisecond, [&]() {
-    attack2 = std::make_unique<bsattack::EclipseAttack>(attacker, *victim,
-                                                        infra_ptrs, ec);
-    attack2->Start();
-  });
-  sched.After(45 * bsim::kSecond, [&]() {
-    if (attack2 != nullptr) attack2->Stop();
-  });
+  spec.crash_restart = true;
+  spec.restart_reseeds = false;
+  spec.durable_store = true;
+  spec.store_fs_seed = seed;
+  spec.store_dir = "eclipse-chaos-store";
+  spec.loss = 0.05;
+  spec.fault_seed = seed;
+  bsscenario::EclipseWorld world(spec);
+  ASSERT_NE(world.Victim()->Durable(), nullptr);
 
-  auto control_fraction = [&]() {
-    std::size_t total = 0;
-    std::size_t controlled = 0;
-    for (const Peer* peer : victim->Peers()) {
-      if (!peer->HandshakeComplete()) continue;
-      ++total;
-      controlled += attacker_ips.contains(peer->remote.ip) ? 1 : 0;
-    }
-    return total == 0 ? 0.0
-                      : static_cast<double>(controlled) / static_cast<double>(total);
-  };
-
-  sched.RunUntil(65 * bsim::kSecond);
-  double tail = 0.0;
-  for (int s = 0; s < 5; ++s) {
-    sched.RunUntil((66 + s) * bsim::kSecond);
-    tail += control_fraction();
-  }
-  if (attack2 != nullptr) attack2->Stop();
+  const bsscenario::EclipseOutcome out = world.Run();
 
   // The reborn victim re-dialed a durable anchor, shed the eclipse, and the
   // store it ran on verifies healthy.
-  EXPECT_GE(victim->AnchorRedials(), 1u) << "seed " << seed;
-  EXPECT_LT(tail / 5.0, 0.5) << "seed " << seed << " stayed eclipsed";
+  EXPECT_GE(world.Victim()->AnchorRedials(), 1u) << "seed " << seed;
+  EXPECT_LT(out.final_fraction, 0.5) << "seed " << seed << " stayed eclipsed";
   const bsstore::FsckReport report =
-      bsstore::RunFsck(fs, "eclipse-chaos-store", /*repair=*/false);
+      bsstore::RunFsck(world.Fs(), "eclipse-chaos-store", /*repair=*/false);
   EXPECT_TRUE(report.store_found);
   EXPECT_TRUE(report.healthy);
 }
@@ -849,164 +498,40 @@ class ChaosPartition : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosPartition, RebornVictimReconvergesWithoutHonestBans) {
   const std::uint64_t seed = GetParam();
-  constexpr std::uint32_t kPartVictim = 0x0a100001;   // 10.16.0.1
-  constexpr std::uint32_t kPartWitness = 0x0a280001;  // 10.40.0.1 — no side
-  constexpr std::uint32_t kPartMiner = 0x0a200001;    // 10.32.0.1
-  constexpr int kPartBuddies = 4;
-  constexpr int kPartRelays = 3;
-  const auto buddy_ip = [](int i) {
-    return 0x0a000001 + (static_cast<std::uint32_t>(17 + i) << 16);
-  };
-  const auto relay_ip = [](int i) {
-    return 0x0a000001 + (static_cast<std::uint32_t>(33 + i) << 16);
-  };
-
-  bsim::SimFs fs(seed);
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  FaultPlan plan(sched, seed);
-  net.SetFaultPlan(&plan);
-  // Clean boot, then weather (the sweep's convention).
-  FaultSpec lossy;
-  lossy.loss = 0.05;
-  sched.After(4 * bsim::kSecond,
-              [&plan, lossy]() { plan.SetDefaultFaults(lossy); });
-
-  NodeConfig config;
-  config.rng_seed = seed;
-  config.target_outbound = 4;
-  config.enable_partition_resilience = true;  // partition_damping defaults on
-  config.enable_anchors = true;
-  config.enable_stale_tip_recovery = true;
-  config.stale_tip_timeout = 15 * bsim::kSecond;
-  config.enable_durable_store = true;
-  config.store_dir = "partition-chaos-store";
-  config.store_fs = &fs;
-
-  std::vector<std::unique_ptr<Node>> world;
-  const auto add_node = [&](std::uint32_t ip, NodeConfig nc,
-                            std::vector<std::uint32_t> known,
-                            bsim::SimTime start_at) -> Node* {
-    auto node = std::make_unique<Node>(sched, net, ip, nc);
-    for (const std::uint32_t k : known) node->AddKnownAddress({k, 8333});
-    Node* raw = node.get();
-    sched.After(start_at, [raw]() { raw->Start(); });
-    world.push_back(std::move(node));
-    return raw;
-  };
-
-  NodeConfig miner_cfg;
-  miner_cfg.chain = config.chain;
-  miner_cfg.target_outbound = kPartRelays;
-  miner_cfg.rng_seed = seed + 2000;
-  Node* miner = add_node(kPartMiner, miner_cfg,
-                         {relay_ip(0), relay_ip(1), relay_ip(2)}, 0);
-  for (int i = 0; i < kPartRelays; ++i) {
-    NodeConfig rc;
-    rc.chain = config.chain;
-    rc.target_outbound = 2;
-    rc.rng_seed = seed + 2100 + static_cast<std::uint64_t>(i);
-    add_node(relay_ip(i), rc, {kPartMiner, relay_ip((i + 1) % kPartRelays)},
-             50 * bsim::kMillisecond * (i + 1));
-  }
-  std::vector<Node*> buddies;
-  for (int i = 0; i < kPartBuddies; ++i) {
-    NodeConfig bc;
-    bc.chain = config.chain;
-    bc.target_outbound = 2;
-    bc.rng_seed = seed + 1000 + static_cast<std::uint64_t>(i);
-    bc.enable_partition_resilience = true;
-    buddies.push_back(
-        add_node(buddy_ip(i), bc, {relay_ip(i % kPartRelays), kPartVictim},
-                 300 * bsim::kMillisecond + i * 50 * bsim::kMillisecond));
-  }
-  NodeConfig wc;
-  wc.chain = config.chain;
-  wc.target_outbound = 2;
-  wc.rng_seed = seed + 3000;
-  wc.relay = false;
-  wc.enable_partition_resilience = true;
-  add_node(kPartWitness, wc, {kPartVictim, kPartMiner}, 600 * bsim::kMillisecond);
-
-  std::vector<std::unique_ptr<Node>> graveyard;
-  std::unique_ptr<Node> victim;
-  sched.After(bsim::kSecond, [&]() {
-    victim = std::make_unique<Node>(sched, net, kPartVictim, config);
-    ASSERT_NE(victim->Durable(), nullptr);
-    for (int i = 0; i < kPartBuddies; ++i) {
-      victim->AddKnownAddress({buddy_ip(i), 8333});
-    }
-    victim->Start();
-  });
-  sched.After(5 * bsim::kSecond, [&]() {
-    victim->AddKnownAddress({kPartMiner, 8333});
-    for (int i = 0; i < kPartRelays; ++i) {
-      victim->AddKnownAddress({relay_ip(i), 8333});
-    }
-  });
-
-  auto mine = std::make_shared<std::function<void()>>();
-  *mine = [&sched, miner, mine]() {
-    miner->MineAndRelay();
-    sched.After(3 * bsim::kSecond, [mine]() { (*mine)(); });
-  };
-  sched.After(2 * bsim::kSecond, [mine]() { (*mine)(); });
-
-  // The asymmetric cut at t=10 s, the victim's own /16 healed at t=45 s.
-  std::vector<std::uint32_t> side_a = {FaultPlan::GroupOf(kPartVictim)};
-  for (int i = 0; i < kPartBuddies; ++i) {
-    side_a.push_back(FaultPlan::GroupOf(buddy_ip(i)));
-  }
-  std::vector<std::uint32_t> side_b = {FaultPlan::GroupOf(kPartMiner)};
-  for (int i = 0; i < kPartRelays; ++i) {
-    side_b.push_back(FaultPlan::GroupOf(relay_ip(i)));
-  }
-  plan.ScheduleDelayPartition(side_a, side_b, /*ab=*/0,
-                              /*ba=*/45 * bsim::kSecond, 10 * bsim::kSecond);
-  plan.SchedulePartialHeal({FaultPlan::GroupOf(kPartVictim)}, side_b,
-                           45 * bsim::kSecond);
-
+  bsscenario::PartitionSpec spec;
+  spec.run_seconds = 90;  // the cut at t=10 s, the victim's /16 healed at t=45 s
+  spec.victim_seed = seed;
+  spec.node_seed_base = seed + 1000;
+  spec.fault_seed = seed;
   // Crash mid-partition, rebirth from the WAL four seconds later. The reborn
   // node gets NO address re-seeding: addresses, anchors, and scores must come
   // out of the durable store replay.
-  plan.on_host_crash = [&](std::uint32_t ip) {
-    if (ip != kPartVictim || victim == nullptr) return;
-    victim->Stop();
-    graveyard.push_back(std::move(victim));
-  };
-  plan.on_host_restart = [&](std::uint32_t ip) {
-    if (ip != kPartVictim) return;
-    victim = std::make_unique<Node>(sched, net, kPartVictim, config);
-    victim->Start();
-  };
-  plan.ScheduleCrash(kPartVictim, 30 * bsim::kSecond, 4 * bsim::kSecond);
+  spec.crash_restart = true;
+  spec.restart_reseeds = false;
+  spec.durable_store = true;
+  spec.store_fs_seed = seed;
+  spec.store_dir = "partition-chaos-store";
+  spec.loss = 0.05;
+  bsscenario::PartitionWorld world(spec);
 
-  sched.RunUntil(90 * bsim::kSecond);
+  const bsscenario::PartitionOutcome out = world.Run();
 
+  Node* victim = world.Victim();
   ASSERT_NE(victim, nullptr);
-  EXPECT_GE(plan.HostCrashes(), 1u) << "seed " << seed;
+  ASSERT_NE(victim->Durable(), nullptr);
+  EXPECT_GE(world.Plan().HostCrashes(), 1u) << "seed " << seed;
   // The reborn victim re-armed its monitor and crossed the healed cut.
+  const int miner_height = world.Miner().Chain().TipHeight();
   EXPECT_GE(victim->PartitionSuspectWindows(), 1u) << "seed " << seed;
-  EXPECT_LE(miner->Chain().TipHeight() - victim->Chain().TipHeight(), 1)
+  EXPECT_LE(miner_height - victim->Chain().TipHeight(), 1)
       << "seed " << seed << " stayed partitioned (victim "
-      << victim->Chain().TipHeight() << " vs miner " << miner->Chain().TipHeight()
-      << ")";
+      << victim->Chain().TipHeight() << " vs miner " << miner_height << ")";
   // Faults are not crimes: nobody in this all-honest world bans anyone, and
   // no tracker anywhere reaches the threshold.
-  std::size_t honest_bans = victim->Bans().Size();
-  int max_score = 0;
-  const auto census = [&](Node& node) {
-    honest_bans += node.Bans().Size();
-    for (const Peer* peer : node.Peers()) {
-      max_score = std::max(max_score, node.Tracker().Score(peer->id));
-    }
-  };
-  for (const auto& node : world) census(*node);
-  census(*victim);
-  EXPECT_EQ(honest_bans, 0u) << "seed " << seed;
-  EXPECT_LT(max_score, 100) << "seed " << seed;
+  EXPECT_EQ(out.honest_bans, 0u) << "seed " << seed;
+  EXPECT_LT(out.max_honest_score, 100) << "seed " << seed;
   const bsstore::FsckReport report =
-      bsstore::RunFsck(fs, "partition-chaos-store", /*repair=*/false);
+      bsstore::RunFsck(world.Fs(), "partition-chaos-store", /*repair=*/false);
   EXPECT_TRUE(report.store_found) << "seed " << seed;
   EXPECT_TRUE(report.healthy) << "seed " << seed;
 }

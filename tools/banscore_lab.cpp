@@ -56,7 +56,6 @@
 
 #include "attack/bmdos.hpp"
 #include "attack/defamation.hpp"
-#include "attack/eclipse.hpp"
 #include "attack/sybil.hpp"
 #include "attack/traffic.hpp"
 #include "core/node.hpp"
@@ -64,10 +63,12 @@
 #include "detect/monitor.hpp"
 #include "core/rpc.hpp"
 #include "obs/span.hpp"
-#include "sim/faults.hpp"
 #include "fuzz/differential.hpp"
 #include "fuzz/engine.hpp"
 #include "fuzz/harness.hpp"
+#include "scenario/chaos_world.hpp"
+#include "scenario/eclipse_world.hpp"
+#include "scenario/partition_world.hpp"
 #include "store/fsck.hpp"
 #include "store/store.hpp"
 #include "util/json.hpp"
@@ -421,176 +422,13 @@ int RunDumpMetrics(const Flags& flags) {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos: the deterministic fault-injection sweep (the CLI face of
-// tests/chaos_test.cpp). One seed = one fully reproducible run: a hardened
-// victim with 4 honest peers and a Sybil attacker under randomized packet
-// loss / duplication / reordering / corruption, two link flaps, and one
-// honest-peer crash+restart, followed by a heal phase past the ban-expiry
-// horizon. The invariants checked per seed:
-//   score-ban:  no peer reaches the threshold without the policy banning it
-//   honest:     only the attacker's IP is ever misbehavior-scored
-//   expiry:     every ban expires (the table is empty after the horizon)
-//   recovery:   the victim refills its outbound slots after the weather ends
-
-struct ChaosOutcome {
-  std::uint64_t bans = 0;
-  std::uint64_t shed_bytes = 0;
-  std::uint64_t dropped_loss = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t delayed = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t dropped_partition = 0;
-  std::uint64_t deliveries = 0;
-  bool only_attacker_scored = true;
-  int threshold_without_ban = 0;
-  bool bans_expired = false;
-  bool recovered = false;
-
-  bool Ok() const {
-    return only_attacker_scored && threshold_without_ban == 0 && bans >= 1 &&
-           bans_expired && recovered;
-  }
-};
-
-ChaosOutcome RunOneChaosSeed(std::uint64_t seed, double chaos_seconds) {
-  constexpr std::uint32_t kVictimIp = 0x0a000001;
-  constexpr std::uint32_t kAttackerIp = 0x0a000066;
-  constexpr std::uint32_t kHonestBase = 0x0a000100;
-  constexpr int kHonest = 4;
-
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  bsim::FaultPlan plan(sched, seed);
-  net.SetFaultPlan(&plan);
-  bsutil::Rng rng(seed * 7919 + 1);
-
-  NodeConfig config;
-  config.target_outbound = kHonest;
-  config.ban_duration = 30 * bsim::kSecond;
-  config.ping_interval = 2 * bsim::kSecond;
-  config.ping_timeout = 10 * bsim::kSecond;
-  config.handshake_timeout = 8 * bsim::kSecond;
-  config.reconnect_backoff = true;
-  config.reconnect_backoff_cap = 8 * bsim::kSecond;
-
-  std::vector<std::unique_ptr<Node>> honest;
-  std::vector<std::unique_ptr<Node>> graveyard;
-  for (int i = 0; i < kHonest; ++i) {
-    NodeConfig pc;
-    pc.target_outbound = 0;
-    pc.rng_seed = 1000 + i;
-    honest.push_back(std::make_unique<Node>(sched, net, kHonestBase + i, pc));
-    honest.back()->Start();
-  }
-  auto victim = std::make_unique<Node>(sched, net, kVictimIp, config);
-  for (const auto& peer : honest) victim->AddKnownAddress({peer->Ip(), 8333});
-
-  ChaosOutcome out;
-  victim->on_misbehavior = [&](const Peer& peer, Misbehavior,
-                               const MisbehaviorOutcome& outcome) {
-    if (!outcome.rule_applied) return;
-    if (peer.remote.ip != kAttackerIp) out.only_attacker_scored = false;
-    if (outcome.total_score >= config.ban_threshold && !outcome.should_ban) {
-      ++out.threshold_without_ban;
-    }
-  };
-  victim->Start();
-
-  bsattack::AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-  bsattack::Crafter crafter(config.chain);
-
-  // Clean boot, then the weather turns.
-  sched.RunUntil(5 * bsim::kSecond);
-
-  bsim::FaultSpec spec;
-  spec.loss = 0.08 * rng.NextDouble();
-  spec.duplicate = 0.06 * rng.NextDouble();
-  spec.reorder = 0.10 * rng.NextDouble();
-  spec.corrupt = 0.05 * rng.NextDouble();
-  plan.SetDefaultFaults(spec);
-  for (int flap = 0; flap < 2; ++flap) {
-    const bsim::SimTime at =
-        5 * bsim::kSecond +
-        static_cast<bsim::SimTime>(rng.NextDouble() * (chaos_seconds - 5)) *
-            bsim::kSecond;
-    const bsim::SimTime down =
-        (1 + static_cast<bsim::SimTime>(rng.NextDouble() * 3)) * bsim::kSecond;
-    plan.ScheduleLinkFlap(kVictimIp, kHonestBase + rng.Below(kHonest), at, down);
-  }
-  const std::size_t crash_index = rng.Below(kHonest);
-  plan.on_host_crash = [&](std::uint32_t) {
-    honest[crash_index]->Stop();
-    graveyard.push_back(std::move(honest[crash_index]));
-  };
-  plan.on_host_restart = [&](std::uint32_t ip) {
-    NodeConfig pc;
-    pc.target_outbound = 0;
-    pc.rng_seed = 1000 + crash_index;
-    honest[crash_index] = std::make_unique<Node>(sched, net, ip, pc);
-    honest[crash_index]->Start();
-  };
-  plan.ScheduleCrash(kHonestBase + static_cast<std::uint32_t>(crash_index),
-                     20 * bsim::kSecond, 8 * bsim::kSecond);
-
-  // Honest pings twice a second; one segwit-invalid TX (instant threshold)
-  // from the attacker's current Sybil identifier every 2 s.
-  bool running = true;
-  std::uint64_t nonce = 0;
-  std::function<void()> honest_tick = [&]() {
-    if (!running) return;
-    for (const auto& peer : honest) {
-      if (peer != nullptr) peer->SendToRemoteIp(kVictimIp, bsproto::PingMsg{++nonce});
-    }
-    sched.After(500 * bsim::kMillisecond, honest_tick);
-  };
-  bool attacking = true;
-  std::function<void()> attack_tick = [&]() {
-    if (!attacking) return;
-    bsattack::AttackSession* ready = nullptr;
-    bool any_live = false;
-    for (bsattack::AttackSession* session : attacker.LiveSessions()) {
-      any_live = true;
-      if (session->SessionReady()) {
-        ready = session;
-        break;
-      }
-    }
-    if (ready != nullptr) {
-      attacker.Send(*ready, crafter.SegwitInvalidTx());
-      ++out.deliveries;
-    } else if (!any_live) {
-      attacker.OpenSession({kVictimIp, 8333});
-    }
-    sched.After(2 * bsim::kSecond, attack_tick);
-  };
-  honest_tick();
-  attack_tick();
-
-  const bsim::SimTime chaos_end =
-      5 * bsim::kSecond + bsim::FromSeconds(chaos_seconds);
-  sched.RunUntil(chaos_end);
-  attacking = false;
-  plan.SetDefaultFaults(bsim::FaultSpec{});
-  sched.RunUntil(chaos_end + config.ban_duration + 15 * bsim::kSecond);
-  running = false;
-
-  out.bans = victim->PeersBanned();
-  out.shed_bytes = victim->RxBytesShed();
-  out.dropped_loss = plan.SegmentsDroppedLoss();
-  out.duplicated = plan.SegmentsDuplicated();
-  out.delayed = plan.SegmentsDelayed();
-  out.corrupted = plan.SegmentsCorrupted();
-  out.dropped_partition = plan.SegmentsDroppedPartition();
-  out.bans_expired = victim->Bans().Size() == 0;
-  out.recovered = victim->OutboundCount() >= static_cast<std::size_t>(kHonest - 1);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Overload: the CLI face of bench_degradation — a quick A/B of honest mining
-// rate with and without a reconnecting one-netgroup Sybil flood, under a
-// chosen defense ablation. Exit 1 if the attacked/baseline mining ratio
-// falls below --min-ratio (the CI smoke gate).
+// Overload: a quick A/B of the victim's honest mining rate with and without
+// a reconnecting one-netgroup Sybil flood, under a chosen defense ablation.
+// The victim has 12 inbound slots; 6 honest peers in distinct /16s dial in
+// and mine every 3 s; --procs attacker processes in 192.168/16 hold 2
+// sessions each and send 60 kB bogus-BLOCK frames every millisecond. There
+// are no tx probes and no late joiner. Exit 1 if the attacked/baseline
+// mining ratio falls below --min-ratio (the CI smoke gate).
 
 struct OverloadResult {
   double mining_hps = 0.0;
@@ -756,180 +594,11 @@ int RunOverload(const Flags& flags) {
 
 // ---------------------------------------------------------------------------
 // eclipse: sustained Sybil-occupation + ADDR-poisoning + Defamation eclipse
-// against a stock vs. hardened victim (the bench_eclipse_resilience world in
-// CLI form). Exit 0 iff the victim's final control fraction is below
-// --heal-fraction — so `--defenses none` is expected to FAIL the gate and
-// `--defenses all` to pass it (check.sh uses exactly that pair).
-
-struct EclipseOutcome {
-  double peak = 0.0;
-  double final_fraction = 0.0;
-  double heal_seconds = -1.0;  // from attack start; -1 = never healed
-  std::size_t honest_inbound = 0;
-  int attacker_outbound = 0;
-  std::uint64_t feeler_promotions = 0;
-  std::uint64_t stale_tip_events = 0;
-  std::uint64_t evictions = 0;
-  std::size_t tried = 0;
-};
-
-EclipseOutcome RunEclipseOnce(bool hardened, double seconds, double heal_fraction,
-                              std::uint64_t seed) {
-  constexpr std::uint32_t kVictim = 0x0a000001;
-  constexpr int kHonest = 12;
-  constexpr int kInfra = 8;
-  const bsim::SimTime run_end = static_cast<bsim::SimTime>(seconds) * bsim::kSecond;
-  const bsim::SimTime attack_start = 5 * bsim::kSecond;
-  const bsim::SimTime attack_stop = run_end - 30 * bsim::kSecond;
-  const bsim::SimTime dial_in = run_end - 40 * bsim::kSecond;
-
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-
-  NodeConfig config;
-  config.rng_seed = seed;
-  config.max_inbound = 16;
-  config.target_outbound = 6;
-  config.ban_duration = 60 * bsim::kSecond;
-  if (hardened) {
-    config.enable_eviction = true;
-    config.inactivity_timeout = 30 * bsim::kSecond;
-    config.enable_addrman_bucketing = true;
-    config.enable_anchors = true;
-    config.enable_feelers = true;
-    config.feeler_interval = 5 * bsim::kSecond;
-    config.feeler_timeout = 3 * bsim::kSecond;
-    config.enable_outbound_diversity = true;
-    config.enable_stale_tip_recovery = true;
-    config.stale_tip_timeout = 10 * bsim::kSecond;
-  }
-
-  // Honest world: ring mesh in distinct /16s, one miner, victim's address
-  // learned mid-run (the dial-ins the eviction defense admits).
-  bsattack::Crafter crafter(config.chain);
-  std::vector<std::unique_ptr<Node>> honest;
-  for (int i = 0; i < kHonest; ++i) {
-    NodeConfig hc;
-    hc.chain = config.chain;
-    hc.target_outbound = 3;
-    hc.rng_seed = seed + 958 + static_cast<std::uint64_t>(i);
-    auto node = std::make_unique<Node>(
-        sched, net, 0x0a000001 + (static_cast<std::uint32_t>(16 + i) << 16), hc);
-    node->AddKnownAddress(
-        {0x0a000001 + (static_cast<std::uint32_t>(16 + (i + 1) % kHonest) << 16),
-         hc.listen_port});
-    node->AddKnownAddress(
-        {0x0a000001 + (static_cast<std::uint32_t>(16 + (i + 2) % kHonest) << 16),
-         hc.listen_port});
-    honest.push_back(std::move(node));
-  }
-  for (int i = 0; i < kHonest; ++i) {
-    const int idx = i;
-    sched.After(idx * 50 * bsim::kMillisecond,
-                [&honest, idx]() { honest[static_cast<std::size_t>(idx)]->Start(); });
-    sched.After(dial_in + idx * 1500 * bsim::kMillisecond, [&honest, idx]() {
-      honest[static_cast<std::size_t>(idx)]->AddKnownAddress({kVictim, 8333});
-    });
-    auto send_tx = std::make_shared<std::function<void()>>();
-    *send_tx = [&honest, &sched, &crafter, idx, send_tx]() {
-      honest[static_cast<std::size_t>(idx)]->SendToRemoteIp(kVictim,
-                                                           crafter.ValidTx());
-      sched.After(2 * bsim::kSecond, [send_tx]() { (*send_tx)(); });
-    };
-    sched.After(dial_in + idx * 1500 * bsim::kMillisecond + 200 * bsim::kMillisecond,
-                [send_tx]() { (*send_tx)(); });
-  }
-  auto mine = std::make_shared<std::function<void()>>();
-  *mine = [&honest, &sched, mine]() {
-    honest[0]->MineAndRelay();
-    sched.After(3 * bsim::kSecond, [mine]() { (*mine)(); });
-  };
-  sched.After(2 * bsim::kSecond, [mine]() { (*mine)(); });
-
-  std::vector<std::unique_ptr<Node>> infra;
-  std::vector<Node*> infra_ptrs;
-  std::set<std::uint32_t> attacker_ips = {0xc0a80001};
-  for (int i = 0; i < kInfra; ++i) {
-    NodeConfig ic;
-    ic.chain = config.chain;
-    ic.target_outbound = 0;
-    ic.rng_seed = seed + 1958 + static_cast<std::uint64_t>(i);
-    auto node = std::make_unique<Node>(sched, net,
-                                       0xc0a80002 + static_cast<std::uint32_t>(i), ic);
-    node->Start();
-    infra_ptrs.push_back(node.get());
-    attacker_ips.insert(node->Ip());
-    infra.push_back(std::move(node));
-  }
-
-  Node victim(sched, net, kVictim, config);
-  for (int i = 0; i < kHonest; ++i) {
-    victim.AddKnownAddress(
-        {0x0a000001 + (static_cast<std::uint32_t>(16 + i) << 16), 8333});
-  }
-  victim.Start();
-
-  bsattack::AttackerNode attacker(sched, net, 0xc0a80001, config.chain.magic);
-  bsattack::EclipseConfig ec;
-  ec.inbound_sessions = 16;
-  ec.addr_gossip_rounds = 4;
-  ec.addrs_per_message = 400;
-  ec.defame_interval = 2500 * bsim::kMillisecond;
-  ec.repoison_interval = 2 * bsim::kSecond;
-  ec.reoccupy_inbound = true;
-  bsattack::EclipseAttack attack(attacker, victim, infra_ptrs, ec);
-  sched.After(attack_start, [&attack]() { attack.Start(); });
-  sched.After(attack_stop, [&attack]() { attack.Stop(); });
-
-  std::vector<double> series;
-  for (bsim::SimTime t = bsim::kSecond; t <= run_end; t += bsim::kSecond) {
-    sched.RunUntil(t);
-    std::size_t total = 0;
-    std::size_t controlled = 0;
-    for (const Peer* peer : victim.Peers()) {
-      if (!peer->HandshakeComplete()) continue;
-      ++total;
-      controlled += attacker_ips.contains(peer->remote.ip) ? 1 : 0;
-    }
-    series.push_back(total == 0 ? 0.0
-                                : static_cast<double>(controlled) /
-                                      static_cast<double>(total));
-  }
-  attack.Stop();
-
-  EclipseOutcome out;
-  for (const double f : series) out.peak = std::max(out.peak, f);
-  double tail = 0.0;
-  for (std::size_t i = series.size() - 5; i < series.size(); ++i) tail += series[i];
-  out.final_fraction = tail / 5.0;
-  const double attack_start_s = bsim::ToSeconds(attack_start);
-  int last_bad = -1;
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const double t = static_cast<double>(i + 1);
-    if (t >= attack_start_s && series[i] >= heal_fraction) {
-      last_bad = static_cast<int>(i);
-    }
-  }
-  if (last_bad == -1) {
-    out.heal_seconds = 0.0;
-  } else if (last_bad + 1 != static_cast<int>(series.size())) {
-    out.heal_seconds = static_cast<double>(last_bad + 2) - attack_start_s;
-  }
-  for (const Peer* peer : victim.Peers()) {
-    if (!peer->HandshakeComplete()) continue;
-    if (peer->inbound && !attacker_ips.contains(peer->remote.ip)) {
-      ++out.honest_inbound;
-    }
-    if (!peer->inbound && attacker_ips.contains(peer->remote.ip)) {
-      ++out.attacker_outbound;
-    }
-  }
-  out.feeler_promotions = victim.FeelerPromotions();
-  out.stale_tip_events = victim.StaleTipEvents();
-  out.evictions = victim.PeersEvicted();
-  out.tried = victim.Addrs().TriedCount();
-  return out;
-}
+// against a stock vs. hardened victim (bsscenario::EclipseWorld, the world
+// bench_eclipse_resilience runs). Exit 0 iff the victim's final control
+// fraction is below --heal-fraction — so `--defenses none` is expected to
+// FAIL the gate and `--defenses all` to pass it (check.sh uses exactly that
+// pair).
 
 int RunEclipse(const Flags& flags) {
   const std::string defenses = flags.Get("defenses", "all");
@@ -943,7 +612,22 @@ int RunEclipse(const Flags& flags) {
     return 2;
   }
 
-  const EclipseOutcome out = RunEclipseOnce(hardened, seconds, heal_fraction, seed);
+  bsscenario::EclipseSpec spec;
+  spec.hardened = hardened;
+  spec.run_seconds = static_cast<int>(seconds);
+  spec.attack_stop_seconds = spec.run_seconds - 30;
+  spec.dial_in_seconds = spec.run_seconds - 40;
+  spec.victim_seed = seed;
+  spec.node_seed_base = seed + 958;
+  spec.heal_fraction = heal_fraction;
+  bsscenario::EclipseWorld world(spec);
+  const bsscenario::EclipseOutcome out = world.Run();
+  Node& victim = *world.Victim();
+  const std::uint64_t feeler_promotions = victim.FeelerPromotions();
+  const std::uint64_t stale_tip_events = victim.StaleTipEvents();
+  const std::uint64_t evictions = victim.PeersEvicted();
+  const std::size_t tried = victim.Addrs().TriedCount();
+
   const bool healed = out.final_fraction < heal_fraction;
   if (json) {
     std::printf(
@@ -956,9 +640,9 @@ int RunEclipse(const Flags& flags) {
         hardened ? "all" : "none", seconds, static_cast<unsigned long long>(seed),
         out.peak, out.final_fraction,
         out.heal_seconds, out.honest_inbound, out.attacker_outbound,
-        static_cast<unsigned long long>(out.feeler_promotions),
-        static_cast<unsigned long long>(out.stale_tip_events),
-        static_cast<unsigned long long>(out.evictions), out.tried, heal_fraction,
+        static_cast<unsigned long long>(feeler_promotions),
+        static_cast<unsigned long long>(stale_tip_events),
+        static_cast<unsigned long long>(evictions), tried, heal_fraction,
         healed ? "true" : "false");
   } else {
     std::printf("eclipse: defenses=%s, %.0f s run, seed %llu, sustained Sybil\n"
@@ -974,10 +658,10 @@ int RunEclipse(const Flags& flags) {
                           .c_str());
     std::printf("  honest inbound=%zu attacker outbound=%d evictions=%llu\n",
                 out.honest_inbound, out.attacker_outbound,
-                static_cast<unsigned long long>(out.evictions));
+                static_cast<unsigned long long>(evictions));
     std::printf("  feeler promotions=%llu stale-tip events=%llu tried=%zu\n",
-                static_cast<unsigned long long>(out.feeler_promotions),
-                static_cast<unsigned long long>(out.stale_tip_events), out.tried);
+                static_cast<unsigned long long>(feeler_promotions),
+                static_cast<unsigned long long>(stale_tip_events), tried);
     std::printf("  heal gate (final < %.2f): %s\n", heal_fraction,
                 healed ? "PASS" : "FAIL");
   }
@@ -985,191 +669,17 @@ int RunEclipse(const Flags& flags) {
 }
 
 // ---------------------------------------------------------------------------
-// partition: the bench_partition world in CLI form — a Hijacking-Bitcoin
-// style asymmetric routing detour (return traffic from the mining side takes
-// a 45 s detour, forward traffic flows clean) against a stock or hardened
-// victim whose outbound slots are full of same-side peers. A listen-only
-// witness with healthy routes answers tip-probes with the true height; with
-// --defenses all the fused suspicion score arms, the recovery ladder dials
-// across the cut once the victim's /16 heals, and partition-aware damping
-// keeps the reconverged victim from being banned by its stale buddies.
-// Exit 0 iff the victim ends within 1 block of the miner — so
-// `--defenses none` is expected to FAIL the gate and `--defenses all` to
-// pass it (check.sh uses exactly that pair).
-
-struct PartitionOutcome {
-  int final_gap = 0;
-  double reconverge_seconds = -1.0;  // from the heal; -1 = never
-  std::uint64_t suspect_windows = 0;
-  std::uint64_t recovery_actions = 0;
-  std::uint64_t probes_sent = 0;
-  std::uint64_t probe_replies = 0;
-  std::uint64_t deferred_penalties = 0;
-  std::size_t honest_bans = 0;  // every node in this world is honest
-  int max_honest_score = 0;
-  int victim_height = 0;
-  int miner_height = 0;
-};
-
-PartitionOutcome RunPartitionOnce(bool hardened, double seconds,
-                                  std::uint64_t seed) {
-  constexpr std::uint32_t kVictimIp = 0x0a100001;   // 10.16.0.1
-  constexpr std::uint32_t kWitnessIp = 0x0a280001;  // 10.40.0.1 — neither side
-  constexpr std::uint32_t kMinerIp = 0x0a200001;    // 10.32.0.1
-  constexpr int kBuddies = 4;
-  constexpr int kRelays = 3;
-  const auto buddy_ip = [](int i) {
-    return 0x0a000001 + (static_cast<std::uint32_t>(17 + i) << 16);
-  };
-  const auto relay_ip = [](int i) {
-    return 0x0a000001 + (static_cast<std::uint32_t>(33 + i) << 16);
-  };
-  const int run_seconds = static_cast<int>(seconds);
-  const bsim::SimTime partition_at = 10 * bsim::kSecond;
-  const bsim::SimTime heal_at = (run_seconds / 2) * bsim::kSecond;
-
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  bsim::FaultPlan plan(sched, seed);
-  net.SetFaultPlan(&plan);
-
-  NodeConfig config;
-  config.rng_seed = seed;
-  config.target_outbound = 4;
-  if (hardened) {
-    config.enable_partition_resilience = true;  // partition_damping defaults on
-    config.enable_anchors = true;
-    config.enable_stale_tip_recovery = true;
-    config.stale_tip_timeout = 15 * bsim::kSecond;
-  }
-
-  std::vector<std::unique_ptr<Node>> world;
-  const auto add_node = [&](std::uint32_t ip, NodeConfig nc,
-                            std::vector<std::uint32_t> known,
-                            bsim::SimTime start_at) -> Node* {
-    auto node = std::make_unique<Node>(sched, net, ip, nc);
-    for (const std::uint32_t k : known) node->AddKnownAddress({k, 8333});
-    Node* raw = node.get();
-    sched.After(start_at, [raw]() { raw->Start(); });
-    world.push_back(std::move(node));
-    return raw;
-  };
-
-  // Mining side: one miner + a small relay mesh, each in its own /16.
-  NodeConfig miner_cfg;
-  miner_cfg.chain = config.chain;
-  miner_cfg.target_outbound = kRelays;
-  miner_cfg.rng_seed = seed + 1958;
-  Node* miner = add_node(kMinerIp, miner_cfg,
-                         {relay_ip(0), relay_ip(1), relay_ip(2)}, 0);
-  for (int i = 0; i < kRelays; ++i) {
-    NodeConfig rc;
-    rc.chain = config.chain;
-    rc.target_outbound = 2;
-    rc.rng_seed = seed + 2058 + static_cast<std::uint64_t>(i);
-    add_node(relay_ip(i), rc, {kMinerIp, relay_ip((i + 1) % kRelays)},
-             50 * bsim::kMillisecond * (i + 1));
-  }
-
-  // Victim-side buddies: each bridges one detoured relay link into the
-  // victim's side of the cut; hardened runs switch their monitor on too.
-  std::vector<Node*> buddies;
-  for (int i = 0; i < kBuddies; ++i) {
-    NodeConfig bc;
-    bc.chain = config.chain;
-    bc.target_outbound = 2;
-    bc.rng_seed = seed + 958 + static_cast<std::uint64_t>(i);
-    bc.enable_partition_resilience = hardened;
-    buddies.push_back(add_node(buddy_ip(i), bc, {relay_ip(i % kRelays), kVictimIp},
-                               300 * bsim::kMillisecond + i * 50 * bsim::kMillisecond));
-  }
-
-  // A listen-only witness in an untouched /16: relay=false means the only
-  // thing it leaks is tip-probe answers — the gossip channel the monitor
-  // feeds on.
-  NodeConfig wc;
-  wc.chain = config.chain;
-  wc.target_outbound = 2;
-  wc.rng_seed = seed + 2958;
-  wc.relay = false;
-  wc.enable_partition_resilience = true;
-  add_node(kWitnessIp, wc, {kVictimIp, kMinerIp}, 600 * bsim::kMillisecond);
-
-  // The victim boots knowing only its own side; the wider net's addresses
-  // arrive after its slots are already full.
-  std::unique_ptr<Node> victim;
-  sched.After(bsim::kSecond, [&]() {
-    victim = std::make_unique<Node>(sched, net, kVictimIp, config);
-    for (int i = 0; i < kBuddies; ++i) {
-      victim->AddKnownAddress({buddy_ip(i), 8333});
-    }
-    victim->Start();
-  });
-  sched.After(5 * bsim::kSecond, [&]() {
-    victim->AddKnownAddress({kMinerIp, 8333});
-    for (int i = 0; i < kRelays; ++i) victim->AddKnownAddress({relay_ip(i), 8333});
-  });
-
-  auto mine = std::make_shared<std::function<void()>>();
-  *mine = [&sched, miner, mine]() {
-    miner->MineAndRelay();
-    sched.After(3 * bsim::kSecond, [mine]() { (*mine)(); });
-  };
-  sched.After(2 * bsim::kSecond, [mine]() { (*mine)(); });
-
-  // The one-way detour over every mining-side -> victim-side segment, then a
-  // partial heal of the victim's own /16 at half time.
-  std::vector<std::uint32_t> side_a = {bsim::FaultPlan::GroupOf(kVictimIp)};
-  for (int i = 0; i < kBuddies; ++i) {
-    side_a.push_back(bsim::FaultPlan::GroupOf(buddy_ip(i)));
-  }
-  std::vector<std::uint32_t> side_b = {bsim::FaultPlan::GroupOf(kMinerIp)};
-  for (int i = 0; i < kRelays; ++i) {
-    side_b.push_back(bsim::FaultPlan::GroupOf(relay_ip(i)));
-  }
-  plan.ScheduleDelayPartition(side_a, side_b, /*ab=*/0, /*ba=*/45 * bsim::kSecond,
-                              partition_at);
-  plan.SchedulePartialHeal({bsim::FaultPlan::GroupOf(kVictimIp)}, side_b, heal_at);
-
-  std::vector<int> gap_series;
-  for (int s = 1; s <= run_seconds; ++s) {
-    sched.RunUntil(s * bsim::kSecond);
-    const int victim_h = victim == nullptr ? 0 : victim->Chain().TipHeight();
-    gap_series.push_back(miner->Chain().TipHeight() - victim_h);
-  }
-
-  PartitionOutcome out;
-  out.final_gap = gap_series.back();
-  const int heal_s = static_cast<int>(heal_at / bsim::kSecond);
-  int last_bad = -1;
-  for (int i = heal_s; i < static_cast<int>(gap_series.size()); ++i) {
-    if (gap_series[static_cast<std::size_t>(i)] > 1) last_bad = i;
-  }
-  if (last_bad == -1) {
-    out.reconverge_seconds = 0.0;
-  } else if (last_bad + 1 != static_cast<int>(gap_series.size())) {
-    out.reconverge_seconds = static_cast<double>(last_bad + 2 - heal_s);
-  }
-
-  out.probes_sent = victim->TipProbesSent();
-  out.probe_replies = victim->TipProbeReplies();
-  out.suspect_windows = victim->PartitionSuspectWindows();
-  out.recovery_actions = victim->PartitionRecoveryActions();
-  out.deferred_penalties = victim->DeferredPenalties();
-  out.victim_height = victim->Chain().TipHeight();
-  out.miner_height = miner->Chain().TipHeight();
-  const auto census = [&](Node& node) {
-    out.honest_bans += node.Bans().Size();
-    for (const Peer* peer : node.Peers()) {
-      out.max_honest_score =
-          std::max(out.max_honest_score, node.Tracker().Score(peer->id));
-    }
-  };
-  for (const auto& node : world) census(*node);
-  census(*victim);
-  for (Node* buddy : buddies) out.deferred_penalties += buddy->DeferredPenalties();
-  return out;
-}
+// partition: a Hijacking-Bitcoin style asymmetric routing detour (return
+// traffic from the mining side takes a 45 s detour, forward traffic flows
+// clean) against a stock or hardened victim whose outbound slots are full of
+// same-side peers (bsscenario::PartitionWorld, the world bench_partition
+// runs). A listen-only witness with healthy routes answers tip-probes with
+// the true height; with --defenses all the fused suspicion score arms, the
+// recovery ladder dials across the cut once the victim's /16 heals, and
+// partition-aware damping keeps the reconverged victim from being banned by
+// its stale buddies. Exit 0 iff the victim ends within 1 block of the miner
+// — so `--defenses none` is expected to FAIL the gate and `--defenses all`
+// to pass it (check.sh uses exactly that pair).
 
 int RunPartition(const Flags& flags) {
   const std::string defenses = flags.Get("defenses", "all");
@@ -1182,7 +692,18 @@ int RunPartition(const Flags& flags) {
     return 2;
   }
 
-  const PartitionOutcome out = RunPartitionOnce(hardened, seconds, seed);
+  bsscenario::PartitionSpec spec;
+  spec.hardened = hardened;
+  spec.run_seconds = static_cast<int>(seconds);
+  spec.victim_seed = seed;
+  spec.node_seed_base = seed + 958;
+  spec.fault_seed = seed;
+  bsscenario::PartitionWorld world(spec);
+  const bsscenario::PartitionOutcome out = world.Run();
+  Node& victim = *world.Victim();
+  const int victim_height = victim.Chain().TipHeight();
+  const int miner_height = world.Miner().Chain().TipHeight();
+
   const bool reconverged = out.final_gap <= 1;
   if (json) {
     std::printf(
@@ -1194,12 +715,12 @@ int RunPartition(const Flags& flags) {
         "\"reconverged\":%s}\n",
         hardened ? "all" : "none", seconds, static_cast<unsigned long long>(seed),
         out.final_gap, out.reconverge_seconds,
-        static_cast<unsigned long long>(out.suspect_windows),
-        static_cast<unsigned long long>(out.recovery_actions),
-        static_cast<unsigned long long>(out.probes_sent),
-        static_cast<unsigned long long>(out.probe_replies),
+        static_cast<unsigned long long>(victim.PartitionSuspectWindows()),
+        static_cast<unsigned long long>(victim.PartitionRecoveryActions()),
+        static_cast<unsigned long long>(victim.TipProbesSent()),
+        static_cast<unsigned long long>(victim.TipProbeReplies()),
         static_cast<unsigned long long>(out.deferred_penalties), out.honest_bans,
-        out.max_honest_score, out.victim_height, out.miner_height,
+        out.max_honest_score, victim_height, miner_height,
         reconverged ? "true" : "false");
   } else {
     std::printf("partition: defenses=%s, %.0f s run, seed %llu, one-way 45 s\n"
@@ -1208,18 +729,18 @@ int RunPartition(const Flags& flags) {
                 hardened ? "all" : "none", seconds,
                 static_cast<unsigned long long>(seed));
     std::printf("  tip gap:    final %d (victim %d vs miner %d), reconverge %s\n",
-                out.final_gap, out.victim_height, out.miner_height,
+                out.final_gap, victim_height, miner_height,
                 out.reconverge_seconds < 0
                     ? "never"
                     : (std::to_string(static_cast<int>(out.reconverge_seconds)) +
                        " s after the heal")
                           .c_str());
     std::printf("  detection:  suspect windows=%llu recovery actions=%llu\n",
-                static_cast<unsigned long long>(out.suspect_windows),
-                static_cast<unsigned long long>(out.recovery_actions));
+                static_cast<unsigned long long>(victim.PartitionSuspectWindows()),
+                static_cast<unsigned long long>(victim.PartitionRecoveryActions()));
     std::printf("  tip probes: sent=%llu answered=%llu deferred penalties=%llu\n",
-                static_cast<unsigned long long>(out.probes_sent),
-                static_cast<unsigned long long>(out.probe_replies),
+                static_cast<unsigned long long>(victim.TipProbesSent()),
+                static_cast<unsigned long long>(victim.TipProbeReplies()),
                 static_cast<unsigned long long>(out.deferred_penalties));
     std::printf("  honest bans=%zu max honest score=%d\n", out.honest_bans,
                 out.max_honest_score);
@@ -1228,6 +749,18 @@ int RunPartition(const Flags& flags) {
   }
   return reconverged ? 0 : 1;
 }
+
+// ---------------------------------------------------------------------------
+// chaos: the deterministic fault-injection sweep over bsscenario::ChaosWorld
+// (the world tests/chaos_test.cpp sweeps). One seed = one fully reproducible
+// run: a hardened victim with 4 honest peers and a Sybil attacker under
+// randomized packet loss / duplication / reordering / corruption, two link
+// flaps, and one honest-peer crash+restart, followed by a heal phase past the
+// ban-expiry horizon. The invariants checked per seed:
+//   score-ban:  no peer reaches the threshold without the policy banning it
+//   honest:     only the attacker's IP is ever misbehavior-scored
+//   expiry:     every ban expires (the table is empty after the horizon)
+//   recovery:   the victim refills its outbound slots after the weather ends
 
 int RunChaos(const Flags& flags) {
   const int seeds = static_cast<int>(flags.GetNum("seeds", 20));
@@ -1242,28 +775,39 @@ int RunChaos(const Flags& flags) {
   int failures = 0;
   for (int k = 0; k < seeds; ++k) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(k);
-    const ChaosOutcome out = RunOneChaosSeed(seed, seconds);
+    bsscenario::ChaosSpec spec;
+    spec.seed = seed;
+    bsscenario::ChaosWorld world(spec);
+    world.Boot();
+    world.RunWeatherAndHeal(seconds, seconds - 5);
+    Node& victim = *world.victim;
+    const bool only_attacker_scored = world.OnlyAttackerScored();
+    const bool bans_expired = victim.Bans().Size() == 0;
+    const bool recovered = victim.OutboundCount() >=
+                           static_cast<std::size_t>(bsscenario::ChaosWorld::kHonestPeers - 1);
+    const bool ok = only_attacker_scored && world.threshold_crossings_without_ban == 0 &&
+                    victim.PeersBanned() >= 1 && bans_expired && recovered;
     std::string verdict;
-    if (out.Ok()) {
+    if (ok) {
       verdict = "OK";
     } else {
-      if (!out.only_attacker_scored) verdict += " HONEST-SCORED";
-      if (out.threshold_without_ban != 0) verdict += " THRESHOLD-NO-BAN";
-      if (out.bans < 1) verdict += " NO-BAN-LANDED";
-      if (!out.bans_expired) verdict += " BAN-STUCK";
-      if (!out.recovered) verdict += " NOT-RECOVERED";
+      if (!only_attacker_scored) verdict += " HONEST-SCORED";
+      if (world.threshold_crossings_without_ban != 0) verdict += " THRESHOLD-NO-BAN";
+      if (victim.PeersBanned() < 1) verdict += " NO-BAN-LANDED";
+      if (!bans_expired) verdict += " BAN-STUCK";
+      if (!recovered) verdict += " NOT-RECOVERED";
       ++failures;
     }
     std::printf("%6llu | %6llu %6llu %6llu %6llu %6llu | %4llu %9llu |%s%s\n",
                 static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(out.dropped_loss),
-                static_cast<unsigned long long>(out.duplicated),
-                static_cast<unsigned long long>(out.delayed),
-                static_cast<unsigned long long>(out.corrupted),
-                static_cast<unsigned long long>(out.dropped_partition),
-                static_cast<unsigned long long>(out.bans),
-                static_cast<unsigned long long>(out.shed_bytes),
-                out.Ok() ? " " : "", verdict.c_str());
+                static_cast<unsigned long long>(world.plan.SegmentsDroppedLoss()),
+                static_cast<unsigned long long>(world.plan.SegmentsDuplicated()),
+                static_cast<unsigned long long>(world.plan.SegmentsDelayed()),
+                static_cast<unsigned long long>(world.plan.SegmentsCorrupted()),
+                static_cast<unsigned long long>(world.plan.SegmentsDroppedPartition()),
+                static_cast<unsigned long long>(victim.PeersBanned()),
+                static_cast<unsigned long long>(victim.RxBytesShed()),
+                ok ? " " : "", verdict.c_str());
   }
   std::printf("\n%d/%d seeds held every invariant\n", seeds - failures, seeds);
   return failures == 0 ? 0 : 1;
