@@ -80,8 +80,6 @@ PhaseResult RunPhase(Phase phase) {
   // re-dials its anchors (persisted block-providing peers) before consulting
   // the poisoned table at all.
   spec.crash_restart = phase == Phase::kHardenedRestart;
-  spec.durable_store = spec.crash_restart;
-  spec.store_dir = "eclipse-bench-store";
   EclipseWorld world(spec);
 
   PhaseResult result{world.Run()};

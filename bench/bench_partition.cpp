@@ -75,12 +75,9 @@ PhaseResult RunPhase(Phase phase) {
   bsscenario::PartitionSpec spec;
   spec.hardened = phase != Phase::kStock;
   spec.run_seconds = kRunSeconds;
-  spec.fault_seed = 4242;
   // The restart phase crashes the victim mid-partition (durable store on);
   // the reborn process must re-detect and still reconverge on schedule.
   spec.crash_restart = phase == Phase::kHardenedRestart;
-  spec.durable_store = spec.crash_restart;
-  spec.store_dir = "partition-bench-store";
   PartitionWorld world(spec);
 
   PhaseResult result{world.Run()};

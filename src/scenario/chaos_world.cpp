@@ -22,19 +22,21 @@ NodeConfig ChaosVictimConfig() {
 }
 
 ChaosWorld::ChaosWorld(ChaosSpec spec)
-    : net(sched), plan(sched, spec.seed), chaos_rng(spec.seed * 7919 + 1),
-      spec_(std::move(spec)) {
+    : net(sched),
+      plan(sched, spec.seed),
+      spec_(std::move(spec)),
+      chaos_rng_(spec_.seed * 7919 + 1),
+      crafter_(spec_.victim.chain) {
   net.SetFaultPlan(&plan);  // before any connection: reliable TCP from t=0
   for (int i = 0; i < kHonestPeers; ++i) {
     NodeConfig pc;
     pc.target_outbound = 0;
     pc.rng_seed = 1000 + static_cast<std::uint64_t>(i);
-    honest.push_back(std::make_unique<Node>(sched, net, kHonestBase + i, pc));
-    honest.back()->Start();
+    honest_.push_back(std::make_unique<Node>(sched, net, kHonestBase + i, pc));
+    honest_.back()->Start();
   }
   attacker = std::make_unique<bsattack::AttackerNode>(sched, net, kAttackerIp,
                                                       spec_.victim.chain.magic);
-  crafter = std::make_unique<bsattack::Crafter>(spec_.victim.chain);
   SpawnVictim(/*load_banlist=*/false);
 }
 
@@ -46,22 +48,22 @@ void ChaosWorld::Boot() { sched.RunUntil(5 * bsim::kSecond); }
 
 void ChaosWorld::RunWeatherAndHeal(double chaos_seconds, double flap_window_seconds) {
   bsim::FaultSpec weather;
-  weather.loss = 0.08 * chaos_rng.NextDouble();
-  weather.duplicate = 0.06 * chaos_rng.NextDouble();
-  weather.reorder = 0.10 * chaos_rng.NextDouble();
-  weather.corrupt = 0.05 * chaos_rng.NextDouble();
+  weather.loss = 0.08 * chaos_rng_.NextDouble();
+  weather.duplicate = 0.06 * chaos_rng_.NextDouble();
+  weather.reorder = 0.10 * chaos_rng_.NextDouble();
+  weather.corrupt = 0.05 * chaos_rng_.NextDouble();
   plan.SetDefaultFaults(weather);
   for (int flap = 0; flap < 2; ++flap) {
     const bsim::SimTime at =
         5 * bsim::kSecond +
-        static_cast<bsim::SimTime>(chaos_rng.NextDouble() * flap_window_seconds) *
+        static_cast<bsim::SimTime>(chaos_rng_.NextDouble() * flap_window_seconds) *
             bsim::kSecond;
     const bsim::SimTime down =
-        (1 + static_cast<bsim::SimTime>(chaos_rng.NextDouble() * 3)) * bsim::kSecond;
-    plan.ScheduleLinkFlap(kVictimIp, kHonestBase + chaos_rng.Below(kHonestPeers), at,
+        (1 + static_cast<bsim::SimTime>(chaos_rng_.NextDouble() * 3)) * bsim::kSecond;
+    plan.ScheduleLinkFlap(kVictimIp, kHonestBase + chaos_rng_.Below(kHonestPeers), at,
                           down);
   }
-  const std::size_t crash_index = chaos_rng.Below(kHonestPeers);
+  const std::size_t crash_index = chaos_rng_.Below(kHonestPeers);
   plan.on_host_crash = [this, crash_index](std::uint32_t) { CrashHonest(crash_index); };
   plan.on_host_restart = [this, crash_index](std::uint32_t) {
     RestartHonest(crash_index);
@@ -84,7 +86,7 @@ void ChaosWorld::SpawnVictim(bool load_banlist) {
   if (load_banlist && !spec_.banlist_path.empty()) {
     victim->Bans().LoadFromFile(spec_.banlist_path, sched.Now());
   }
-  for (const auto& peer : honest) victim->AddKnownAddress({peer->Ip(), 8333});
+  for (const auto& peer : honest_) victim->AddKnownAddress({peer->Ip(), 8333});
   AttachInvariantHooks();
   victim->Start();
 }
@@ -96,17 +98,17 @@ void ChaosWorld::CrashVictim() {
 }
 
 void ChaosWorld::CrashHonest(std::size_t index) {
-  honest[index]->Stop();
-  graveyard_.push_back(std::move(honest[index]));
+  honest_[index]->Stop();
+  graveyard_.push_back(std::move(honest_[index]));
 }
 
 void ChaosWorld::RestartHonest(std::size_t index) {
   NodeConfig pc;
   pc.target_outbound = 0;
   pc.rng_seed = 1000 + static_cast<std::uint64_t>(index);
-  honest[index] = std::make_unique<Node>(
+  honest_[index] = std::make_unique<Node>(
       sched, net, kHonestBase + static_cast<std::uint32_t>(index), pc);
-  honest[index]->Start();
+  honest_[index]->Start();
 }
 
 void ChaosWorld::StartHonestTraffic() {
@@ -143,7 +145,7 @@ void ChaosWorld::AttachInvariantHooks() {
 
 void ChaosWorld::HonestTick() {
   if (!honest_running_) return;
-  for (const auto& peer : honest) {
+  for (const auto& peer : honest_) {
     if (peer != nullptr) peer->SendToRemoteIp(kVictimIp, bsproto::PingMsg{++honest_nonce_});
   }
   sched.After(500 * bsim::kMillisecond, [this]() { HonestTick(); });
@@ -161,7 +163,7 @@ void ChaosWorld::AttackTick() {
     }
   }
   if (ready != nullptr) {
-    attacker->Send(*ready, crafter->SegwitInvalidTx());
+    attacker->Send(*ready, crafter_.SegwitInvalidTx());
     ++attack_deliveries;
   } else if (!any_live) {
     // Previous identifier banned (or handshake lost to faults): come back as

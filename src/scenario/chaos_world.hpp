@@ -66,8 +66,6 @@ class ChaosWorld {
   /// silence it, keep the carcass allocated until the run ends (in-flight
   /// events may still reference it).
   void CrashVictim();
-  void CrashHonest(std::size_t index);
-  void RestartHonest(std::size_t index);
 
   // ---- Drivers ----
 
@@ -89,12 +87,8 @@ class ChaosWorld {
   bsim::Scheduler sched;
   bsim::Network net;
   bsim::FaultPlan plan;
-  bsutil::Rng chaos_rng;
-
-  std::vector<std::unique_ptr<bsnet::Node>> honest;
   std::unique_ptr<bsnet::Node> victim;
   std::unique_ptr<bsattack::AttackerNode> attacker;
-  std::unique_ptr<bsattack::Crafter> crafter;
 
   std::set<std::uint32_t> scored_ips;
   int threshold_crossings_without_ban = 0;
@@ -103,11 +97,16 @@ class ChaosWorld {
   std::uint64_t attack_deliveries = 0;
 
  private:
+  void CrashHonest(std::size_t index);
+  void RestartHonest(std::size_t index);
   void AttachInvariantHooks();
   void HonestTick();
   void AttackTick();
 
   ChaosSpec spec_;
+  bsutil::Rng chaos_rng_;
+  bsattack::Crafter crafter_;
+  std::vector<std::unique_ptr<bsnet::Node>> honest_;
   std::vector<std::unique_ptr<bsnet::Node>> graveyard_;
   bool honest_running_ = false;
   bool attack_running_ = false;

@@ -30,8 +30,7 @@ constexpr bsim::SimTime kRestartAt = 11 * bsim::kSecond;
 EclipseWorld::EclipseWorld(EclipseSpec spec)
     : spec_(std::move(spec)),
       net_(sched_),
-      plan_(sched_, spec_.fault_seed),
-      fs_(spec_.store_fs_seed),
+      plan_(sched_, spec_.victim_seed),
       victim_config_(VictimConfig()),
       crafter_(victim_config_.chain),
       attacker_ips_{kAttackerIp} {
@@ -155,9 +154,9 @@ NodeConfig EclipseWorld::VictimConfig() {
     config.enable_stale_tip_recovery = true;
     config.stale_tip_timeout = 10 * bsim::kSecond;
   }
-  if (spec_.durable_store) {
+  if (spec_.crash_restart) {
     config.enable_durable_store = true;
-    config.store_dir = spec_.store_dir;
+    config.store_dir = kStoreDir;
     config.store_fs = &fs_;
   }
   return config;

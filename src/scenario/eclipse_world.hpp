@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <memory>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "attack/attacker.hpp"
@@ -40,19 +39,15 @@ struct EclipseSpec {
   /// Heal time counts from attack start to the last 1 s sample at or above
   /// this control fraction.
   double heal_fraction = 0.5;
-  /// The victim crashes at t = 9 s and is reborn at t = 11 s; the attacker
-  /// re-acquires it at t = 11.5 s. `restart_reseeds` hands the reborn node
-  /// the honest addresses again; otherwise it knows only what its durable
-  /// store replays.
+  /// The victim runs on the durable store, crashes at t = 9 s and is reborn
+  /// at t = 11 s; the attacker re-acquires it at t = 11.5 s.
+  /// `restart_reseeds` hands the reborn node the honest addresses again;
+  /// otherwise it knows only what its store replays.
   bool crash_restart = false;
   bool restart_reseeds = true;
-  bool durable_store = false;
-  std::uint64_t store_fs_seed = 7;
-  std::string store_dir = "eclipse-store";
-  /// > 0: a FaultPlan (seeded with fault_seed) drops this share of segments
+  /// > 0: a FaultPlan seeded with victim_seed drops this share of segments
   /// on every link from t = 4 s. 0: no FaultPlan is attached at all.
   double loss = 0.0;
-  std::uint64_t fault_seed = 0;
 };
 
 struct EclipseOutcome {
@@ -60,6 +55,7 @@ struct EclipseOutcome {
   double peak = 0.0;
   double final_fraction = 0.0;  // mean of the last 5 samples
   double heal_seconds = -1.0;   // from attack start; -1 = never healed
+  // The victim's handshake-complete sessions at the end of the run.
   std::size_t honest_inbound = 0;
   int attacker_outbound = 0;  // the diversity check
 };
@@ -70,6 +66,7 @@ class EclipseWorld {
   static constexpr int kMaxInbound = 16;
   static constexpr int kTargetOutbound = 6;
   static constexpr int kAttackStartSeconds = 5;
+  static constexpr const char* kStoreDir = "victim-store";  // on Fs()
 
   explicit EclipseWorld(EclipseSpec spec);
   ~EclipseWorld();

@@ -30,7 +30,6 @@ PartitionWorld::PartitionWorld(PartitionSpec spec)
     : spec_(std::move(spec)),
       net_(sched_),
       plan_(sched_, spec_.fault_seed),
-      fs_(spec_.store_fs_seed),
       victim_config_(VictimConfig()) {
   net_.SetFaultPlan(&plan_);
   if (spec_.loss > 0.0) {
@@ -136,9 +135,9 @@ NodeConfig PartitionWorld::VictimConfig() {
     config.enable_stale_tip_recovery = true;
     config.stale_tip_timeout = 15 * bsim::kSecond;
   }
-  if (spec_.durable_store) {
+  if (spec_.crash_restart) {
     config.enable_durable_store = true;
-    config.store_dir = spec_.store_dir;
+    config.store_dir = kStoreDir;
     config.store_fs = &fs_;
   }
   return config;

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/node.hpp"
@@ -31,15 +30,12 @@ struct PartitionSpec {
   /// base + 1100 + i, the witness with base + 2000.
   std::uint64_t node_seed_base = 1000;
   std::uint64_t fault_seed = 4242;
-  /// The victim crashes at t = 30 s and is reborn 4 s later.
-  /// `restart_reseeds` hands the reborn node its buddies and the wide net's
-  /// addresses again; otherwise it knows only what its durable store
-  /// replays.
+  /// The victim runs on the durable store, crashes at t = 30 s and is
+  /// reborn 4 s later. `restart_reseeds` hands the reborn node its buddies
+  /// and the wide net's addresses again; otherwise it knows only what its
+  /// store replays.
   bool crash_restart = false;
   bool restart_reseeds = true;
-  bool durable_store = false;
-  std::uint64_t store_fs_seed = 7;
-  std::string store_dir = "partition-store";
   double loss = 0.0;  // > 0: this share of segments dropped from t = 4 s
 };
 
@@ -63,6 +59,7 @@ class PartitionWorld {
   static constexpr int kDetourSeconds = 45;
   static constexpr int kCrashAtSeconds = 30;
   static constexpr int kRestartAfterSeconds = 4;
+  static constexpr const char* kStoreDir = "victim-store";  // on Fs()
 
   explicit PartitionWorld(PartitionSpec spec);
   ~PartitionWorld();

@@ -14,6 +14,9 @@
 //     reordering, or corruption their links suffer (faults are not crimes);
 //   * the Fig. 10 detector still separates attack windows from normal
 //     windows at 5% packet loss.
+//
+// The chaos, eclipse and partition worlds come from src/scenario/
+// (bsscenario), which banscore-lab and the benches run too.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -460,11 +463,7 @@ TEST_P(ChaosEclipseHeal, VictimRecoversControlAcrossCrashAndLoss) {
   // bans, anchors — must come out of the durable store replay.
   spec.crash_restart = true;
   spec.restart_reseeds = false;
-  spec.durable_store = true;
-  spec.store_fs_seed = seed;
-  spec.store_dir = "eclipse-chaos-store";
   spec.loss = 0.05;
-  spec.fault_seed = seed;
   bsscenario::EclipseWorld world(spec);
   ASSERT_NE(world.Victim()->Durable(), nullptr);
 
@@ -475,7 +474,7 @@ TEST_P(ChaosEclipseHeal, VictimRecoversControlAcrossCrashAndLoss) {
   EXPECT_GE(world.Victim()->AnchorRedials(), 1u) << "seed " << seed;
   EXPECT_LT(out.final_fraction, 0.5) << "seed " << seed << " stayed eclipsed";
   const bsstore::FsckReport report =
-      bsstore::RunFsck(world.Fs(), "eclipse-chaos-store", /*repair=*/false);
+      bsstore::RunFsck(world.Fs(), bsscenario::EclipseWorld::kStoreDir, /*repair=*/false);
   EXPECT_TRUE(report.store_found);
   EXPECT_TRUE(report.healthy);
 }
@@ -508,9 +507,6 @@ TEST_P(ChaosPartition, RebornVictimReconvergesWithoutHonestBans) {
   // out of the durable store replay.
   spec.crash_restart = true;
   spec.restart_reseeds = false;
-  spec.durable_store = true;
-  spec.store_fs_seed = seed;
-  spec.store_dir = "partition-chaos-store";
   spec.loss = 0.05;
   bsscenario::PartitionWorld world(spec);
 
@@ -531,7 +527,7 @@ TEST_P(ChaosPartition, RebornVictimReconvergesWithoutHonestBans) {
   EXPECT_EQ(out.honest_bans, 0u) << "seed " << seed;
   EXPECT_LT(out.max_honest_score, 100) << "seed " << seed;
   const bsstore::FsckReport report =
-      bsstore::RunFsck(world.Fs(), "partition-chaos-store", /*repair=*/false);
+      bsstore::RunFsck(world.Fs(), bsscenario::PartitionWorld::kStoreDir, /*repair=*/false);
   EXPECT_TRUE(report.store_found) << "seed " << seed;
   EXPECT_TRUE(report.healthy) << "seed " << seed;
 }
