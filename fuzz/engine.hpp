@@ -20,7 +20,7 @@
 namespace bsfuzz {
 
 struct CampaignConfig {
-  std::string harness;        // "codec" | "tracker" | "store" | "addrman"
+  std::string harness;        // "codec" | "tracker" | "store" | "addrman" | "sha256"
   std::uint64_t seed = 1;
   std::size_t iters = 1000;
   std::string corpus_dir;     // per-harness subdir appended; "" = skip replay

@@ -2,7 +2,7 @@
 //
 // The fabric is deliberately self-contained: a seeded deterministic engine
 // (engine.hpp) layers structure-aware mutators (mutators.hpp) on top of
-// valid inputs built by generators.hpp, and feeds the result to one of four
+// valid inputs built by generators.hpp, and feeds the result to one of five
 // harness bodies (harness.hpp). The same harness bodies back the optional
 // libFuzzer entry points (-DBS_LIBFUZZER=ON), so a corpus found by either
 // driver reproduces under the other.

@@ -260,11 +260,24 @@ bsutil::ByteVec AddrManBase(bsutil::Rng& rng) {
   return am.Serialize();
 }
 
+bsutil::ByteVec Sha256Base(bsutil::Rng& rng) {
+  // Half the lengths sit on a padding edge: a tail of 55 bytes still fits
+  // the length field in its block, 56 spills into a second, 64 is whole.
+  static constexpr std::size_t kEdges[] = {1, 8, 32, 55, 56, 63, 64, 80, 119, 120};
+  const std::size_t len = rng.Chance(0.5)
+                              ? kEdges[rng.Below(std::size(kEdges))] + 64 * rng.Below(4)
+                              : 1 + rng.Below(1024);
+  bsutil::ByteVec out(len);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.Next());
+  return out;
+}
+
 bsutil::ByteVec BaseInputFor(const std::string& harness, bsutil::Rng& rng) {
   if (harness == "codec") return CodecBase(rng);
   if (harness == "tracker") return TrackerBase(rng);
   if (harness == "store") return StoreBase(rng);
   if (harness == "addrman") return AddrManBase(rng);
+  if (harness == "sha256") return Sha256Base(rng);
   throw std::invalid_argument("unknown fuzz harness: " + harness);
 }
 

@@ -28,7 +28,10 @@ bsutil::ByteVec StoreBase(bsutil::Rng& rng);
 /// A valid serialized AddrMan table with a random number of endpoints.
 bsutil::ByteVec AddrManBase(bsutil::Rng& rng);
 
-/// Dispatch by harness name ("codec", "tracker", "store", "addrman").
+/// Random bytes of 1-1,024 bytes, half of them at a SHA-256 padding edge.
+bsutil::ByteVec Sha256Base(bsutil::Rng& rng);
+
+/// Dispatch by harness name ("codec", "tracker", "store", "addrman", "sha256").
 bsutil::ByteVec BaseInputFor(const std::string& harness, bsutil::Rng& rng);
 
 }  // namespace bsfuzz

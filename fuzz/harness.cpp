@@ -1,5 +1,6 @@
 #include "fuzz/harness.hpp"
 
+#include <algorithm>
 #include <array>
 #include <exception>
 #include <stdexcept>
@@ -8,6 +9,7 @@
 #include "core/addrman.hpp"
 #include "core/banman.hpp"
 #include "core/misbehavior.hpp"
+#include "crypto/sha256.hpp"
 #include "proto/codec.hpp"
 #include "sim/simfs.hpp"
 #include "store/fsck.hpp"
@@ -407,6 +409,43 @@ HarnessResult AddrManBody(bsutil::ByteSpan input) {
   return {};
 }
 
+// ---- sha256 ----------------------------------------------------------------
+
+HarnessResult Sha256Body(bsutil::ByteSpan input) {
+  namespace detail = bscrypto::detail;
+  const std::string len = "length " + std::to_string(input.size());
+  const bscrypto::Sha256::Digest reference = detail::Hash(detail::TransformScalar, input);
+  if (bscrypto::Sha256::Hash(input) != reference) {
+    return HarnessResult::Fail("sha256-kernel-differential",
+                               len + ": Hash differs from the scalar reference");
+  }
+  if (bscrypto::Sha256::HashD(input) != detail::Hash(detail::TransformScalar, reference)) {
+    return HarnessResult::Fail("sha256d-kernel-differential",
+                               len + ": HashD differs from the scalar reference");
+  }
+  // The incremental hasher, cut where the input's first three bytes say, so
+  // mutations steer the split points across block and padding edges.
+  std::vector<std::size_t> cuts;
+  for (std::size_t i = 0; i < std::min<std::size_t>(input.size(), 3); ++i) {
+    cuts.push_back(input[i] * input.size() / 256);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.push_back(input.size());
+  bscrypto::Sha256 hasher;
+  std::size_t offset = 0;
+  for (const std::size_t cut : cuts) {
+    hasher.Update(input.subspan(offset, cut - offset));
+    offset = cut;
+  }
+  bscrypto::Sha256::Digest incremental;
+  hasher.Finalize(incremental);
+  if (incremental != reference) {
+    return HarnessResult::Fail("sha256-incremental-differential",
+                               len + ": incremental digest differs from the scalar reference");
+  }
+  return {};
+}
+
 HarnessResult Guarded(HarnessResult (*body)(bsutil::ByteSpan),
                       bsutil::ByteSpan input) {
   try {
@@ -431,17 +470,22 @@ HarnessResult RunAddrManInput(bsutil::ByteSpan input) {
   return Guarded(AddrManBody, input);
 }
 
+HarnessResult RunSha256Input(bsutil::ByteSpan input) {
+  return Guarded(Sha256Body, input);
+}
+
 HarnessResult RunHarness(const std::string& harness, bsutil::ByteSpan input) {
   if (harness == "codec") return RunCodecInput(input);
   if (harness == "tracker") return RunTrackerInput(input);
   if (harness == "store") return RunStoreInput(input);
   if (harness == "addrman") return RunAddrManInput(input);
+  if (harness == "sha256") return RunSha256Input(input);
   throw std::invalid_argument("unknown fuzz harness: " + harness);
 }
 
 const std::vector<std::string>& AllHarnesses() {
   static const std::vector<std::string> kAll = {"codec", "tracker", "store",
-                                                "addrman"};
+                                                "addrman", "sha256"};
   return kAll;
 }
 

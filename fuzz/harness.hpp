@@ -1,4 +1,4 @@
-// The four harness bodies. Each consumes one opaque byte string and checks
+// The five harness bodies. Each consumes one opaque byte string and checks
 // robustness oracles, not just absence of crashes:
 //
 //   codec    — stream-decode; every accepted message must round-trip
@@ -13,6 +13,10 @@
 //              idempotent across a second open.
 //   addrman  — AddrMan::Deserialize in flat and bucketed mode; rejects
 //              must not mutate state, accepts must re-serialize stably.
+//   sha256   — the active SHA-256 kernel (SHA-NI where the CPU has it)
+//              against the scalar reference: one-shot Hash, HashD against
+//              two chained hashes, and the incremental hasher split where
+//              the input's bytes say.
 //
 // The same bodies back the in-repo engine (engine.hpp) and the optional
 // libFuzzer entry points, so findings reproduce across drivers.
@@ -28,11 +32,12 @@ HarnessResult RunCodecInput(bsutil::ByteSpan input);
 HarnessResult RunTrackerInput(bsutil::ByteSpan input);
 HarnessResult RunStoreInput(bsutil::ByteSpan input);
 HarnessResult RunAddrManInput(bsutil::ByteSpan input);
+HarnessResult RunSha256Input(bsutil::ByteSpan input);
 
 /// Dispatch by name; throws std::invalid_argument for unknown names.
 HarnessResult RunHarness(const std::string& harness, bsutil::ByteSpan input);
 
-/// The four harness names, in canonical order.
+/// The harness names, in canonical order.
 const std::vector<std::string>& AllHarnesses();
 
 }  // namespace bsfuzz

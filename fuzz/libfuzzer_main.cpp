@@ -16,7 +16,7 @@
 #include "fuzz/harness.hpp"
 
 #ifndef BS_FUZZ_HARNESS
-#error "define BS_FUZZ_HARNESS (codec|tracker|store|addrman)"
+#error "define BS_FUZZ_HARNESS (codec|tracker|store|addrman|sha256)"
 #endif
 
 #define BS_STRINGIFY2(x) #x

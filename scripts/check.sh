@@ -88,7 +88,8 @@ echo "==> paper figures vs committed baselines: fig6/fig8 bit-identical"
 
 echo "==> fuzz smoke: 8 seeds x 1500 iters per harness + differential oracle"
 # Deterministic structure-aware campaigns over the four wire-facing
-# harnesses (codec, tracker, store, addrman), replaying the committed
+# harnesses (codec, tracker, store, addrman) and the SHA-256 kernel
+# differential (sha256), replaying the committed
 # regression corpus first; the differential driver must match Table I
 # exactly. Minimized repros for any failure land in build/fuzz-artifacts/.
 ./build/tools/banscore-lab fuzz --seeds 8 --iters 1500 \

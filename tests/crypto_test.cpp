@@ -2,12 +2,15 @@
 // arithmetic and compact-bits codec, merkle trees with mutation detection.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "crypto/hash256.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
 #include "util/hex.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -89,6 +92,134 @@ TEST(Sha256Test, ResetAllowsReuse) {
   hasher.Finalize(digest);
   EXPECT_EQ(bsutil::HexEncode(digest),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+}
+
+// ---------------------------------------------------------------------------
+// SHA-256 kernels: the active kernel (SHA-NI where the CPU has it) held
+// against the scalar reference. Without SHA-NI the SHA-NI checks skip; the
+// active-kernel checks still run.
+
+namespace detail = bscrypto::detail;
+
+struct NistVector {
+  ByteVec input;
+  const char* digest;
+};
+
+std::vector<NistVector> NistVectors() {
+  return {
+      {bsutil::ToBytes(""),
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {bsutil::ToBytes("abc"),
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {bsutil::ToBytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {bsutil::ToBytes("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                       "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {ByteVec(1'000'000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+}
+
+ByteVec RandomBytes(bsutil::Rng& rng, std::size_t len) {
+  ByteVec out(len);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.Next());
+  return out;
+}
+
+/// Every length 0..1024 with seeded random contents, through Hash and HashD.
+/// The incremental hasher pads in its own code, so it pins the one-shot
+/// padding too; HashD is held against two chained one-shot hashes, which
+/// pins its fixed second-pass block.
+void ExpectAgreesWithScalarAtEveryLength(
+    const std::function<Sha256::Digest(bsutil::ByteSpan)>& hash,
+    const std::function<Sha256::Digest(bsutil::ByteSpan)>& hash_d) {
+  bsutil::Rng rng(0x5a256);
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    const ByteVec data = RandomBytes(rng, len);
+    const Sha256::Digest reference = detail::Hash(detail::TransformScalar, data);
+    Sha256::Digest incremental;
+    Sha256().Update(data).Finalize(incremental);
+    ASSERT_EQ(incremental, reference) << "len " << len;
+    ASSERT_EQ(hash(data), reference) << "len " << len;
+    ASSERT_EQ(hash_d(data), detail::Hash(detail::TransformScalar, reference)) << "len " << len;
+  }
+}
+
+TEST(Sha256Kernel, ScalarReferenceMatchesNistVectors) {
+  for (const NistVector& v : NistVectors()) {
+    EXPECT_EQ(bsutil::HexEncode(detail::Hash(detail::TransformScalar, v.input)), v.digest);
+  }
+}
+
+TEST(Sha256Kernel, ShaniMatchesNistVectors) {
+  const detail::Kernel shani = detail::ShaniKernel();
+  if (shani == nullptr) GTEST_SKIP() << "no SHA-NI kernel in this build or on this CPU";
+  for (const NistVector& v : NistVectors()) {
+    EXPECT_EQ(bsutil::HexEncode(detail::Hash(shani, v.input)), v.digest);
+  }
+}
+
+TEST(Sha256Kernel, ShaniMatchesScalarAtEveryLength) {
+  const detail::Kernel shani = detail::ShaniKernel();
+  if (shani == nullptr) GTEST_SKIP() << "no SHA-NI kernel in this build or on this CPU";
+  ExpectAgreesWithScalarAtEveryLength(
+      [&](bsutil::ByteSpan d) { return detail::Hash(shani, d); },
+      [&](bsutil::ByteSpan d) { return detail::HashD(shani, d); });
+}
+
+TEST(Sha256Kernel, ShaniMatchesScalarOnRandomStatesAndBlockRuns) {
+  // The raw compression function, from arbitrary chaining states and over
+  // runs of 1-20 blocks, so no state the padding never reaches goes unchecked.
+  const detail::Kernel shani = detail::ShaniKernel();
+  if (shani == nullptr) GTEST_SKIP() << "no SHA-NI kernel in this build or on this CPU";
+  bsutil::Rng rng(0xb10c5);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::uint32_t expected[8], actual[8];
+    for (int i = 0; i < 8; ++i) {
+      expected[i] = actual[i] = static_cast<std::uint32_t>(rng.Next());
+    }
+    const std::size_t blocks = 1 + rng.Below(20);
+    const ByteVec data = RandomBytes(rng, 64 * blocks);
+    detail::TransformScalar(expected, data.data(), blocks);
+    shani(actual, data.data(), blocks);
+    for (int i = 0; i < 8; ++i) ASSERT_EQ(actual[i], expected[i]) << "trial " << trial;
+  }
+}
+
+TEST(Sha256Kernel, ActiveMatchesScalarAtEveryLength) {
+  ExpectAgreesWithScalarAtEveryLength(
+      [](bsutil::ByteSpan d) { return Sha256::Hash(d); },
+      [](bsutil::ByteSpan d) { return Sha256::HashD(d); });
+}
+
+TEST(Sha256Kernel, ActiveIncrementalSplitsMatchScalar) {
+  // Random inputs fed to the incremental hasher in 1-6 random pieces, so
+  // partial buffers, whole-block runs and empty updates all meet.
+  bsutil::Rng rng(0x1ac5);
+  for (int trial = 0; trial < 500; ++trial) {
+    const ByteVec data = RandomBytes(rng, rng.Below(1025));
+    Sha256 hasher;
+    std::size_t offset = 0;
+    const std::size_t pieces = 1 + rng.Below(6);
+    for (std::size_t p = 0; p + 1 < pieces; ++p) {
+      const std::size_t take = rng.Below(data.size() - offset + 1);
+      hasher.Update(bsutil::ByteSpan(data.data() + offset, take));
+      offset += take;
+    }
+    hasher.Update(bsutil::ByteSpan(data.data() + offset, data.size() - offset));
+    Sha256::Digest digest;
+    hasher.Finalize(digest);
+    ASSERT_EQ(digest, detail::Hash(detail::TransformScalar, data))
+        << "trial " << trial << " len " << data.size();
+  }
+}
+
+TEST(Sha256Kernel, ImplementationNamesTheActiveKernel) {
+  const bool shani = detail::ShaniKernel() != nullptr;
+  EXPECT_STREQ(Sha256::Implementation(), shani ? "shani" : "scalar");
+  EXPECT_EQ(detail::ActiveKernel(), shani ? detail::ShaniKernel() : detail::TransformScalar);
 }
 
 // ---------------------------------------------------------------------------

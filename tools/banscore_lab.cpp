@@ -1284,8 +1284,8 @@ int RunBenchDiff(const Flags& flags) {
 }
 
 // ---------------------------------------------------------------------------
-// fuzz — deterministic structure-aware fuzz campaigns over the four wire-
-// facing harnesses, plus the Table I differential rule-set oracle. Exit 0
+// fuzz — deterministic structure-aware fuzz campaigns over the five
+// harnesses (four wire-facing, one SHA-256 kernel differential), plus the Table I differential rule-set oracle. Exit 0
 // iff every campaign is failure-free AND the observed 0.20/0.21/0.22
 // divergence set equals the paper's predicted matrix exactly.
 
@@ -1318,7 +1318,7 @@ int RunFuzz(const Flags& flags) {
       total += n;
     }
     // +1: the codec corpus always gets the pinned divergent tip-probe entry.
-    return total == 4 * count + 1 ? 0 : 1;
+    return total == bsfuzz::AllHarnesses().size() * count + 1 ? 0 : 1;
   }
 
   if (!replay.empty()) {
@@ -1751,11 +1751,11 @@ void Usage() {
       "          (seeded run under a shared span tracer; prints the merged\n"
       "           span+event timeline and walks the final ban's causal chain;\n"
       "           exit 0 iff the chain is complete and crosses nodes)\n"
-      "  fuzz --harness codec|tracker|store|addrman|diff|all --seeds N\n"
+      "  fuzz --harness codec|tracker|store|addrman|sha256|diff|all --seeds N\n"
       "          --seed-base B --iters I --corpus DIR --artifacts DIR\n"
       "          --format table|json\n"
-      "          (deterministic structure-aware fuzz campaigns over the four\n"
-      "           wire-facing harnesses plus the Table I differential oracle;\n"
+      "          (deterministic structure-aware fuzz campaigns over the five\n"
+      "           harnesses plus the Table I differential oracle;\n"
       "           failures are minimized into DIR/<h>-seed<S>-iter<I>.repro;\n"
       "           --replay FILE re-runs one repro; --reseed DIR --count K\n"
       "           regenerates the committed corpus; exit 0 iff no oracle\n"
