@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "core/banman.hpp"
+#include "crypto/sha256.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 
@@ -187,7 +188,8 @@ std::string RpcServer::Dispatch(const std::string& line) {
     return "{\"result\":{\"height\":" + std::to_string(node_.Chain().TipHeight()) +
            ",\"peers\":" + std::to_string(node_.Peers().size()) +
            ",\"established\":" + std::to_string(established) +
-           ",\"bans\":" + std::to_string(node_.Bans().Size()) + "}}";
+           ",\"bans\":" + std::to_string(node_.Bans().Size()) +
+           ",\"sha256\":\"" + bscrypto::Sha256::Implementation() + "\"}}";
   }
 
   if (method->str == "getpeerinfo") {

@@ -1,11 +1,13 @@
 // Transport seam tests: the SimTransport extraction, the epoll EventLoop,
 // the FaultSocketApi syscall shim, and RealTransport driving two full Nodes
 // over real loopback sockets — handshake, block relay, polite teardown,
-// write-queue shedding, async connect failure, and the bounded
-// reconnect-backoff map under dial churn.
+// write-queue shedding, async connect failure, the bounded
+// reconnect-backoff map under dial churn, and the RPC's getinfo report.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,11 +17,14 @@
 #include <vector>
 
 #include "core/event_loop.hpp"
+#include "crypto/sha256.hpp"
 #include "core/node.hpp"
 #include "core/real_transport.hpp"
+#include "core/rpc.hpp"
 #include "core/sim_transport.hpp"
 #include "sim/faultsock.hpp"
 #include "sim/network.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -245,6 +250,52 @@ TEST(RealTransportLoopback, TwoNodesHandshakeRelayABlockAndTearDownPolitely) {
 
   a.Shutdown();
   b.Shutdown();
+}
+
+TEST(RpcGetinfo, NamesTheSha256KernelThisProcessRuns) {
+  bsim::Scheduler sched;
+  EventLoop loop(sched);
+  bsim::RealSocketApi& api = bsim::RealSocketApi::Instance();
+  RealTransportConfig rtc;
+  rtc.bind_port = 0;
+  RealTransport transport(loop, api, rtc);
+  NodeConfig config;
+  config.listen_port = 0;
+  Node node(sched, transport, config);
+  node.Start();
+  RpcServer rpc(loop, api, node, 0);
+  ASSERT_EQ(rpc.ListenError(), 0);
+
+  // The server shares this thread's loop, so talk to it over a raw socket
+  // and pump between reads.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(rpc.Port());
+  addr.sin_addr.s_addr = htonl(kLoopback);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  const std::string request = "{\"method\":\"getinfo\"}\n";
+  ASSERT_EQ(::write(fd, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  std::string reply;
+  EXPECT_TRUE(PumpUntil(loop, [&] {
+    char buf[256];
+    const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+    if (n > 0) reply.append(buf, static_cast<std::size_t>(n));
+    return reply.find('\n') != std::string::npos;
+  }));
+  ::close(fd);
+
+  const auto doc = bsutil::ParseJson(reply.substr(0, reply.find('\n')));
+  ASSERT_TRUE(doc.has_value()) << reply;
+  const bsutil::JsonValue* result = doc->Find("result");
+  ASSERT_NE(result, nullptr) << reply;
+  const bsutil::JsonValue* kernel = result->Find("sha256");
+  ASSERT_NE(kernel, nullptr) << reply;
+  EXPECT_EQ(kernel->str, bscrypto::Sha256::Implementation());
+  EXPECT_TRUE(kernel->str == "shani" || kernel->str == "scalar") << kernel->str;
+  node.Shutdown();
 }
 
 TEST(RealTransportConnect, RefusalReportsAsynchronouslyAndCountsFailure) {
