@@ -386,14 +386,35 @@ TEST_F(PeerLifetime, HandshakeWatchdogFreesTheStalledPeerAfterItsTurn) {
 
 TEST_F(PeerLifetime, DeadPeerCheckFreesTheSilentPeerAfterItsTurn) {
   NodeConfig config;
-  // A timeout above the interval never fires: each round re-PINGs before
-  // the outstanding PING can age past it.
   config.ping_interval = 1 * bsim::kSecond;
   config.ping_timeout = 1 * bsim::kSecond;
   Boot(config);
   const Link silent = Handshaked(0x0a010001);
 
   sched_.RunUntil(2500 * bsim::kMillisecond);  // PING at 1 s, dead at 2 s
+  EXPECT_EQ(node_->DeadPeerDisconnects(), 1u);
+  EXPECT_EQ(silent.conn->resets, 1);
+  ExpectReaped(silent);
+}
+
+TEST_F(PeerLifetime, DeadPeerCheckFiresWhenTheTimeoutExceedsTheInterval) {
+  // The chaos world's keepalive: PING every 2 s, dead after 10 s unanswered.
+  // The keepalive pass must not re-PING while a nonce is outstanding, or the
+  // outstanding PING never ages past the timeout.
+  NodeConfig config;
+  config.ping_interval = 2 * bsim::kSecond;
+  config.ping_timeout = 10 * bsim::kSecond;
+  Boot(config);
+  const Link silent = Handshaked(0x0a010001);
+
+  sched_.RunUntil(2500 * bsim::kMillisecond);  // the one PING, at 2 s
+  const int sends_after_ping = silent.conn->sends;
+  sched_.RunUntil(11500 * bsim::kMillisecond);
+  EXPECT_EQ(silent.conn->sends, sends_after_ping) << "re-PINGed an outstanding nonce";
+  EXPECT_EQ(node_->DeadPeerDisconnects(), 0u);
+  EXPECT_FALSE(silent.conn->closed);
+
+  sched_.RunUntil(12500 * bsim::kMillisecond);  // 10 s after the PING
   EXPECT_EQ(node_->DeadPeerDisconnects(), 1u);
   EXPECT_EQ(silent.conn->resets, 1);
   ExpectReaped(silent);
