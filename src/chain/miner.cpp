@@ -1,11 +1,23 @@
 #include "chain/miner.hpp"
 
-#include <chrono>
+#include <time.h>
 
 #include "crypto/sha256.hpp"
 #include "util/serialize.hpp"
 
 namespace bschain {
+
+namespace {
+
+/// CPU time this thread has used, in seconds. Wall time would also count
+/// time the thread spent descheduled, which is what made the rates noisy.
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+}  // namespace
 
 Block BuildBlockTemplate(const bscrypto::Hash256& prev, std::uint32_t time,
                          const std::vector<Transaction>& txs, const ChainParams& params,
@@ -60,7 +72,7 @@ double HashRateMeter::Measure(std::uint64_t num_hashes,
   header.Serialize(w);
   bsutil::ByteVec buf = w.TakeData();
 
-  const auto start = std::chrono::steady_clock::now();
+  const double start = ThreadCpuSeconds();
   volatile std::uint8_t sink = 0;
   for (std::uint64_t i = 0; i < num_hashes; ++i) {
     // Nonce lives in the last 4 bytes of the header serialization.
@@ -74,8 +86,7 @@ double HashRateMeter::Measure(std::uint64_t num_hashes,
       interference();
     }
   }
-  const auto end = std::chrono::steady_clock::now();
-  const double seconds = std::chrono::duration<double>(end - start).count();
+  const double seconds = ThreadCpuSeconds() - start;
   (void)sink;
   if (seconds <= 0.0) return 0.0;
   return static_cast<double>(num_hashes) / seconds;

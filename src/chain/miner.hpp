@@ -29,9 +29,10 @@ std::optional<Block> MineBlock(Block block_template, const ChainParams& params,
 /// paper's mining-rate metric ("hash computations per second").
 class HashRateMeter {
  public:
-  /// Perform `num_hashes` real header hashes; returns hashes per second.
-  /// `interference`, when provided, is invoked every `interference_stride`
-  /// hashes so callers can model competing CPU work (the BM-DoS victim).
+  /// Perform `num_hashes` real header hashes; returns hashes per second of
+  /// this thread's CPU time. `interference`, when provided, is invoked every
+  /// `interference_stride` hashes on the same thread, so callers can model
+  /// competing CPU work (the BM-DoS victim).
   double Measure(std::uint64_t num_hashes,
                  const std::function<void()>& interference = nullptr,
                  std::uint64_t interference_stride = 1024);
