@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "crypto/sha256_shani.hpp"
+
 namespace bscrypto {
 
 namespace detail {

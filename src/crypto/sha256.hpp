@@ -50,17 +50,9 @@ namespace detail {
 using Kernel = void (*)(std::uint32_t* state, const std::uint8_t* data,
                         std::size_t blocks);
 
-/// The round constants K (FIPS 180-4 §4.2.2), shared by both kernels.
-extern const std::uint32_t kRoundConstants[64];
-
 /// The portable reference kernel and the fallback.
 void TransformScalar(std::uint32_t* state, const std::uint8_t* data,
                      std::size_t blocks);
-
-/// The SHA-NI kernel. Defined only in x86-64 builds, and safe to call only
-/// where the CPU has the SHA extensions; reach it through ShaniKernel().
-void TransformShani(std::uint32_t* state, const std::uint8_t* data,
-                    std::size_t blocks);
 
 /// The SHA-NI kernel, or nullptr when this build or this CPU lacks it.
 Kernel ShaniKernel();

@@ -10,7 +10,7 @@
 // the next four schedule words W[t..t+3] from the previous sixteen.
 #include <immintrin.h>
 
-#include "crypto/sha256.hpp"
+#include "crypto/sha256_shani.hpp"
 
 namespace bscrypto::detail {
 
