@@ -1285,9 +1285,10 @@ int RunBenchDiff(const Flags& flags) {
 
 // ---------------------------------------------------------------------------
 // fuzz — deterministic structure-aware fuzz campaigns over the five
-// harnesses (four wire-facing, one SHA-256 kernel differential), plus the Table I differential rule-set oracle. Exit 0
-// iff every campaign is failure-free AND the observed 0.20/0.21/0.22
-// divergence set equals the paper's predicted matrix exactly.
+// harnesses (four wire-facing, one SHA-256 kernel differential), plus the
+// Table I differential rule-set oracle. Exit 0 iff every campaign is
+// failure-free AND the observed 0.20/0.21/0.22 divergence set equals the
+// paper's predicted matrix exactly.
 
 int RunFuzz(const Flags& flags) {
   const std::string harness = flags.Get("harness", "all");
