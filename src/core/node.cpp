@@ -517,12 +517,16 @@ void Node::MaintainOutbound() {
     };
     // PINGs go out before any expired peer is dropped. A PING never expires
     // its target, so the second pass sees exactly the peers the first skipped.
-    // A peer whose PING is still unanswered gets no new one (Core's rule):
-    // re-PINGing would restart last_ping_sent, and the outstanding PING could
-    // then never age past ping_timeout.
+    // With dead-peer detection on, a peer whose PING is still unanswered
+    // gets no new one (Core's rule): re-PINGing would restart last_ping_sent,
+    // and the outstanding PING could then never age past ping_timeout.
+    // Without it, nothing would ever clear a lost PONG's nonce, so the next
+    // PING replaces it and the keepalive goes on.
     for (Peer& peer : LivePeers()) {
       if (!peer.HandshakeComplete() || inactive(peer) || dead(peer)) continue;
-      if (config_.ping_interval > 0 && peer.outstanding_ping_nonce == 0 &&
+      const bool awaiting_pong =
+          config_.ping_timeout > 0 && peer.outstanding_ping_nonce != 0;
+      if (config_.ping_interval > 0 && !awaiting_pong &&
           now - peer.last_ping_sent >= config_.ping_interval) {
         peer.outstanding_ping_nonce = rng_.Next() | 1;  // never 0
         peer.last_ping_sent = now;
