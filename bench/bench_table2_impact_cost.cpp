@@ -25,6 +25,7 @@
 #include "core/costmodel.hpp"
 #include "core/node.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "proto/codec.hpp"
 #include "proto/compact.hpp"
 #include "util/rng.hpp"
@@ -332,8 +333,8 @@ void RunTable(bsbench::JsonReport& report) {
 
 // ---------------------------------------------------------------------------
 // Node-pipeline section: the same payloads driven through a live victim Node
-// so the bsobs metrics (frame drop counters, per-frame latency histogram)
-// reflect end-to-end pipeline cost, not just decode cost.
+// so the bsobs metrics (frame drop counters) and the profiler's per-frame
+// processing stage reflect end-to-end pipeline cost, not just decode cost.
 
 void RunNodePipeline(bsobs::MetricsRegistry& registry, bsbench::JsonReport& report) {
   bsbench::PrintSection("Node pipeline — BM-DoS payloads vs a live victim (bsobs view)");
@@ -343,6 +344,8 @@ void RunNodePipeline(bsobs::MetricsRegistry& registry, bsbench::JsonReport& repo
   bsim::Network net(sched);
   bsnet::NodeConfig config;
   config.metrics = &registry;  // shared, scrapeable registry for the report
+  bsobs::HotpathProfiler profiler;
+  config.profiler = &profiler;
   bsnet::Node victim(sched, net, 0x0a000001, config);
   victim.Start();
   bsattack::AttackerNode attacker(sched, net, 0x0a000002, config.chain.magic);
@@ -368,11 +371,10 @@ void RunNodePipeline(bsobs::MetricsRegistry& registry, bsbench::JsonReport& repo
               static_cast<unsigned long long>(victim.FramesIgnoredUnknownCommand()));
   std::printf("typed messages processed:        %llu\n",
               static_cast<unsigned long long>(victim.TotalMessagesReceived()));
-  const bsobs::Histogram* lat = registry.FindHistogram("bs_node_frame_process_seconds");
-  if (lat != nullptr && lat->Count() > 0) {
+  const bsobs::StageStats frame_stage = profiler.Stats(bsobs::HotStage::kFrameProcess);
+  if (frame_stage.count > 0) {
     std::printf("frame-processing latency:        %llu samples, mean %.1f ns\n",
-                static_cast<unsigned long long>(lat->Count()),
-                lat->Sum() / static_cast<double>(lat->Count()) * 1e9);
+                static_cast<unsigned long long>(frame_stage.count), frame_stage.ns_per_op);
   }
   std::printf("trace tail:\n%s", victim.Trace().Render(4).c_str());
 

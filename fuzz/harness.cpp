@@ -10,6 +10,7 @@
 #include "core/banman.hpp"
 #include "core/misbehavior.hpp"
 #include "crypto/sha256.hpp"
+#include "fuzz/reference_decoder.hpp"
 #include "proto/codec.hpp"
 #include "sim/simfs.hpp"
 #include "store/fsck.hpp"
@@ -28,17 +29,47 @@ std::string DescribeBytes(bsutil::ByteSpan a, bsutil::ByteSpan b) {
 
 // ---- codec -----------------------------------------------------------------
 
+// What the library decoder must agree with the reference decoder on: the
+// status, the bytes consumed, the header fields, and the message on kOk.
+// Empty when they agree.
+std::string CompareToReference(const bsproto::DecodeResult& got,
+                               const bsproto::DecodeResult& want) {
+  if (got.status != want.status || got.consumed != want.consumed) {
+    return std::string(bsproto::ToString(got.status)) + "/" + std::to_string(got.consumed) +
+           " vs reference " + bsproto::ToString(want.status) + "/" +
+           std::to_string(want.consumed);
+  }
+  // The reference fills the header of a frame still waiting for payload.
+  if (got.status == bsproto::DecodeStatus::kNeedMoreData) return {};
+  if (got.header.magic != want.header.magic || got.header.command != want.header.command ||
+      got.header.length != want.header.length ||
+      got.header.checksum != want.header.checksum) {
+    return "header \"" + got.header.command + "\"/" + std::to_string(got.header.length) +
+           " vs reference \"" + want.header.command + "\"/" +
+           std::to_string(want.header.length);
+  }
+  if (got.status == bsproto::DecodeStatus::kOk && !(got.message == want.message)) {
+    return "message differs from the reference";
+  }
+  return {};
+}
+
 HarnessResult CodecBody(bsutil::ByteSpan input) {
   bsutil::ByteSpan stream = input;
   std::size_t guard = 0;
   // Reference outcome sequence for the streaming differential below.
-  std::vector<std::pair<bsproto::DecodeStatus, std::size_t>> reference;
+  std::vector<bsproto::DecodeResult> reference;
   while (!stream.empty()) {
     if (++guard > input.size() + 16) {
       return HarnessResult::Fail("decoder-progress",
                                  "decode loop exceeded input-size bound");
     }
     const bsproto::DecodeResult r = bsproto::DecodeMessage(kFuzzMagic, stream);
+    const bsproto::DecodeResult ref = ReferenceDecodeMessage(kFuzzMagic, stream);
+    if (const std::string why = CompareToReference(r, ref); !why.empty()) {
+      return HarnessResult::Fail("reference-differential",
+                                 "frame " + std::to_string(reference.size()) + ": " + why);
+    }
     if (r.consumed > stream.size()) {
       return HarnessResult::Fail(
           "consumed-overrun", "consumed " + std::to_string(r.consumed) +
@@ -57,7 +88,7 @@ HarnessResult CodecBody(bsutil::ByteSpan input) {
           "header-complete status consumed < header size (" +
               std::to_string(r.consumed) + ")");
     }
-    reference.emplace_back(r.status, r.consumed);
+    reference.push_back(ref);
     if (r.status == bsproto::DecodeStatus::kOk) {
       // Round-trip idempotence. A first re-encode may legally differ from
       // the wire bytes (optional fields like VERSION's relay flag get
@@ -93,14 +124,16 @@ HarnessResult CodecBody(bsutil::ByteSpan input) {
   }
 
   // Streaming differential: feed the same bytes through the incremental
-  // decoder in input-derived chunk sizes. Any chunking must reproduce the
-  // contiguous loop's outcome sequence exactly — same statuses, same consumed
-  // counts, nothing extra and nothing missing.
+  // decoder in input-derived chunk sizes, decoding every frame into one
+  // reused result as Node::OnData does. Any chunking must reproduce the
+  // reference sequence exactly — same statuses, consumed counts, headers and
+  // messages, nothing extra and nothing missing — so a field the in-place
+  // decode forgets to rewrite shows up as a stale value.
   bsproto::StreamDecoder decoder(kFuzzMagic);
+  bsproto::DecodeResult r;
   std::size_t fed = 0;
   std::size_t seen = 0;
   for (;;) {
-    bsproto::DecodeResult r;
     while (decoder.Next(r)) {
       if (seen >= reference.size()) {
         return HarnessResult::Fail(
@@ -108,14 +141,9 @@ HarnessResult CodecBody(bsutil::ByteSpan input) {
             "incremental decoder produced an extra frame (" +
                 std::string(bsproto::ToString(r.status)) + ")");
       }
-      if (r.status != reference[seen].first ||
-          r.consumed != reference[seen].second) {
-        return HarnessResult::Fail(
-            "stream-differential",
-            "frame " + std::to_string(seen) + ": incremental " +
-                bsproto::ToString(r.status) + "/" + std::to_string(r.consumed) +
-                " vs contiguous " + bsproto::ToString(reference[seen].first) +
-                "/" + std::to_string(reference[seen].second));
+      if (const std::string why = CompareToReference(r, reference[seen]); !why.empty()) {
+        return HarnessResult::Fail("stream-differential",
+                                   "frame " + std::to_string(seen) + ": incremental " + why);
       }
       ++seen;
     }

@@ -1,7 +1,10 @@
 // The five harness bodies. Each consumes one opaque byte string and checks
 // robustness oracles, not just absence of crashes:
 //
-//   codec    — stream-decode; every accepted message must round-trip
+//   codec    — stream-decode; every frame must match the reference decoder
+//              (reference_decoder.hpp) in status, consumed bytes, header and
+//              message, both contiguously and through a StreamDecoder that
+//              reuses one result; every accepted message must round-trip
 //              idempotently (encode→decode→encode is byte-stable) and the
 //              decoder must always make bounded forward progress.
 //   tracker  — interprets the input as an op stream against a

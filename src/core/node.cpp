@@ -151,9 +151,6 @@ Node::Node(bsim::Scheduler& sched, std::unique_ptr<Transport> owned,
         std::string("bs_node_messages_") + bsproto::CommandName(type) + "_total",
         "Typed messages of one wire command");
   }
-  m_frame_process_seconds_ =
-      reg.GetHistogram("bs_node_frame_process_seconds", bsobs::LatencyBucketsSeconds(),
-                       "Wall time to process one complete frame");
   m_frame_bytes_ = reg.GetHistogram("bs_node_frame_bytes", bsobs::SizeBucketsBytes(),
                                     "Complete wire-frame sizes");
   m_peers_gauge_ = reg.GetGauge("bs_node_peers", "Connected peers");
@@ -975,14 +972,16 @@ void Node::OnData(std::uint64_t peer_id, bsutil::ByteSpan data) {
   }
 
   // `peer` outlives this call: a ban only marks it, and the turn opened
-  // above frees it. A marked peer gets no further frames. `frame` is reused
-  // across iterations: a fresh DecodeResult default-constructs a VersionMsg,
-  // whose user agent is a heap allocation.
+  // above frees it. A marked peer gets no further frames. Every frame decodes
+  // in place into `frame`, so a PING or a dropped frame allocates nothing.
   bsproto::DecodeResult frame;
-  while (!peer.disconnect && peer.rx.BytesNeeded() == 0) {
+  while (!peer.disconnect) {
     const std::uint64_t frame_start = peer.rx.StreamPosition();
     bsobs::ScopedProbe decode_probe(profiler_, bsobs::HotStage::kCodecDecode);
-    peer.rx.Next(frame);
+    if (!peer.rx.Next(frame)) {
+      decode_probe.Cancel();
+      break;
+    }
     decode_probe.Stop();
     ProcessFrame(peer, frame, frame_start);
   }
@@ -999,7 +998,7 @@ void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
 
   const std::size_t frame_bytes = bsproto::kHeaderSize + frame.header.length;
   if (on_frame) on_frame(frame_bytes, frame.status);
-  bsobs::ScopedTimer frame_timer(m_frame_process_seconds_);
+  bsobs::ScopedProbe frame_probe(profiler_, bsobs::HotStage::kFrameProcess);
 
   // Causal tracing: claim the context the sender registered for this stream
   // position and open the frame's own span. rx_ctx_ stays valid for the rest
@@ -1042,7 +1041,7 @@ void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
   // Resource governance: the frame must fit the peer's token buckets and
   // the global CPU budget before the modelled CPU is charged for its
   // checksum — shedding here is what keeps a flood off the simulated CPU.
-  // The real payload hash has already run: DecodeMessage checksums the
+  // The real payload hash has already run: the decoder checksums the
   // frame before the node sees it, on both transports. The bytes stay
   // visible to on_frame above (they did arrive on the wire, and the detect
   // engine watches the wire).

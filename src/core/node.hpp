@@ -233,9 +233,10 @@ struct NodeConfig {
   /// disables tracing entirely: the hot paths pay one pointer test and
   /// allocate nothing. Not owned.
   bsobs::SpanTracer* span_tracer = nullptr;
-  /// Hot-path profiler (obs/profiler.hpp) timing codec decode, tracker
-  /// updates, and AddrMan select. Null (the default) disables profiling at
-  /// the same one-pointer-test cost. Not owned.
+  /// Hot-path profiler (obs/profiler.hpp) timing codec decode, frame
+  /// processing, tracker updates, and AddrMan select: the node's only clock
+  /// reads per frame. Null (the default) disables profiling at the same
+  /// one-pointer-test cost. Not owned.
   bsobs::HotpathProfiler* profiler = nullptr;
 };
 
@@ -559,7 +560,7 @@ class Node {
   /// Rate-limit/governor gate for one complete frame. True = process it;
   /// false = it was shed (metrics, trace, and the drop cost are recorded
   /// here). Always true when neither limiter is configured. It runs before
-  /// the modelled CPU is charged for the checksum, but after DecodeMessage
+  /// the modelled CPU is charged for the checksum, but after the decoder
   /// has hashed the payload for real.
   bool AdmitFrame(Peer& peer, const bsproto::DecodeResult& frame,
                   std::size_t frame_bytes);
@@ -722,7 +723,6 @@ class Node {
   bsobs::Counter* m_partition_deferred_penalties_ = nullptr;
   bsobs::Gauge* m_partition_suspicion_ = nullptr;
   std::array<bsobs::Counter*, bsproto::kNumMsgTypes> m_msg_type_{};
-  bsobs::Histogram* m_frame_process_seconds_ = nullptr;
   bsobs::Histogram* m_frame_bytes_ = nullptr;
   bsobs::Gauge* m_peers_gauge_ = nullptr;
 };

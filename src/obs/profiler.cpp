@@ -18,6 +18,8 @@ const char* StageName(HotStage stage) {
       return "addrman_select";
     case HotStage::kDispatch:
       return "dispatch";
+    case HotStage::kFrameProcess:
+      return "frame_process";
     case HotStage::kStageCount:
       break;
   }

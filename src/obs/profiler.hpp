@@ -1,6 +1,8 @@
 // bsobs — hot-path profiler: fixed-stage RAII probes over the paths that
-// dominate a simulation's wall clock (codec decode, misbehavior tracking,
-// detect ticks, AddrMan select, event-loop dispatch).
+// dominate a simulation's wall clock (codec decode, frame processing,
+// misbehavior tracking, detect ticks, AddrMan select, event-loop dispatch).
+// It is the node's one timing instrument: nothing on the receive path reads
+// a clock unless a profiler is attached.
 //
 // The profiler answers one question per stage: *how many nanoseconds does
 // one operation cost, and how is that cost distributed?* It is the
@@ -30,11 +32,12 @@ namespace bsobs {
 
 /// The instrumented stages. Keep in sync with StageName().
 enum class HotStage : std::uint8_t {
-  kCodecDecode = 0,   // bsproto::DecodeMessage per frame
+  kCodecDecode = 0,   // StreamDecoder::Next per frame
   kTrackerUpdate,     // MisbehaviorTracker::Misbehaving
   kDetectTick,        // detect engine verdict computation
   kAddrmanSelect,     // AddrMan::Select / SelectNew
   kDispatch,          // scheduler event-loop callback dispatch
+  kFrameProcess,      // Node::ProcessFrame per decoded frame, after on_frame
   kStageCount,
 };
 
@@ -104,6 +107,9 @@ class ScopedProbe {
   ScopedProbe(const ScopedProbe&) = delete;
   ScopedProbe& operator=(const ScopedProbe&) = delete;
   ~ScopedProbe() { Stop(); }
+
+  /// Record nothing: the probed operation did not happen.
+  void Cancel() { profiler_ = nullptr; }
 
   /// Record now instead of at destruction; returns elapsed ns.
   std::uint64_t Stop() {

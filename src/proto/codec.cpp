@@ -1,5 +1,6 @@
 #include "proto/codec.hpp"
 
+#include <algorithm>
 #include <atomic>
 
 #include "crypto/sha256.hpp"
@@ -19,14 +20,18 @@ std::uint32_t LoadU32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
-// What the fixed header fields alone decide, read in place without
-// allocating. kMalformed (bytes after the command's NUL padding), kBadMagic
-// and kOversize each end the frame at the header; kOk means the frame runs on
-// for `length` payload bytes. DecodeMessage and StreamDecoder both ask here,
-// so these rules exist once.
+// The fixed header fields, read in place with no Reader and no allocation.
+// kMalformed (bytes after the command's NUL padding), kBadMagic and kOversize
+// each end the frame at the header; kOk means the frame runs on for `length`
+// payload bytes. Every header reader — StreamDecoder, DecodeMessage,
+// PeekFrame, MessageHeader::Deserialize — asks here, so these rules exist
+// once. `magic` and `length` are the wire values whenever the command field
+// is well formed, even on kBadMagic and kOversize.
 struct HeaderLook {
   DecodeStatus status = DecodeStatus::kOk;
+  std::uint32_t magic = 0;
   std::uint32_t length = 0;
+  std::size_t command_len = 0;
 
   std::size_t FrameSize() const {
     return kHeaderSize + (status == DecodeStatus::kOk ? length : 0);
@@ -34,19 +39,83 @@ struct HeaderLook {
 };
 
 HeaderLook LookAtHeader(std::uint32_t magic, const std::uint8_t* header) {
+  HeaderLook look;
   const std::uint8_t* cmd = header + 4;
-  std::size_t len = 0;
-  while (len < kCommandSize && cmd[len] != 0) ++len;
-  for (std::size_t i = len; i < kCommandSize; ++i) {
-    if (cmd[i] != 0) return {DecodeStatus::kMalformed, 0};
+  while (look.command_len < kCommandSize && cmd[look.command_len] != 0) ++look.command_len;
+  for (std::size_t i = look.command_len; i < kCommandSize; ++i) {
+    if (cmd[i] != 0) {
+      look.status = DecodeStatus::kMalformed;
+      look.command_len = 0;
+      return look;
+    }
   }
+  look.magic = LoadU32(header);
+  look.length = LoadU32(header + 4 + kCommandSize);
   // A foreign frame's length cannot be trusted.
-  if (LoadU32(header) != magic) return {DecodeStatus::kBadMagic, 0};
-  const std::uint32_t length = LoadU32(header + 4 + kCommandSize);
-  // Length-field lie: never size a buffer (or wait for payload bytes) off a
-  // declared length beyond the frame bound.
-  if (length > kMaxFramePayload) return {DecodeStatus::kOversize, 0};
-  return {DecodeStatus::kOk, length};
+  if (look.magic != magic) {
+    look.status = DecodeStatus::kBadMagic;
+  } else if (look.length > kMaxFramePayload) {
+    // Length-field lie: never size a buffer (or wait for payload bytes) off
+    // a declared length beyond the frame bound.
+    look.status = DecodeStatus::kOversize;
+  }
+  return look;
+}
+
+// Rewrites every field of `out` from the header `look` describes; all zero
+// when the command field is malformed. The command is at most 12 bytes, so
+// assigning it stays inside std::string's inline buffer.
+void FillHeader(const HeaderLook& look, const std::uint8_t* header, MessageHeader& out) {
+  out.magic = look.magic;
+  out.command.assign(reinterpret_cast<const char*>(header + 4), look.command_len);
+  out.length = look.length;
+  if (look.status == DecodeStatus::kMalformed) {
+    out.checksum = {};
+  } else {
+    std::copy(header + 4 + kCommandSize + 4, header + kHeaderSize, out.checksum.begin());
+  }
+}
+
+// The one decoder. Decodes the frame at the front of `stream` into `out` in
+// place and returns true, or returns false with `out` untouched when the
+// frame is not complete yet.
+bool DecodeFront(std::uint32_t magic, bsutil::ByteSpan stream, DecodeResult& out) {
+  if (stream.size() < kHeaderSize) return false;
+  const HeaderLook look = LookAtHeader(magic, stream.data());
+  if (stream.size() < look.FrameSize()) return false;
+
+  FillHeader(look, stream.data(), out.header);
+  out.consumed = look.FrameSize();
+  if (look.status != DecodeStatus::kOk) {
+    if (look.status == DecodeStatus::kOversize) {
+      g_oversize_rejects.fetch_add(1, std::memory_order_relaxed);
+    }
+    out.status = look.status;
+    return true;
+  }
+
+  const bsutil::ByteSpan payload = stream.subspan(kHeaderSize, look.length);
+  // Checksum gate: runs before anything looks at the payload, so a failed
+  // checksum never reaches the misbehavior tracker (the bogus-message vector).
+  if (PayloadChecksum(payload) != out.header.checksum) {
+    out.status = DecodeStatus::kBadChecksum;
+    return true;
+  }
+
+  const auto type = MsgTypeFromCommandField(stream.data() + 4);
+  if (!type) {
+    out.status = DecodeStatus::kUnknownCommand;
+    return true;
+  }
+
+  try {
+    out.message = DeserializePayload(*type, payload);
+  } catch (const bsutil::DeserializeError&) {
+    out.status = DecodeStatus::kMalformed;
+    return true;
+  }
+  out.status = DecodeStatus::kOk;
+  return true;
 }
 }  // namespace
 
@@ -71,19 +140,14 @@ bsutil::ByteVec MessageHeader::Serialize() const {
 }
 
 MessageHeader MessageHeader::Deserialize(bsutil::ByteSpan data) {
-  bsutil::Reader r(data);
-  MessageHeader h;
-  h.magic = r.ReadU32();
-  const auto cmd = r.ReadBytes(kCommandSize);
-  std::size_t len = 0;
-  while (len < kCommandSize && cmd[len] != 0) ++len;
-  for (std::size_t i = len; i < kCommandSize; ++i) {
-    if (cmd[i] != 0) throw bsutil::DeserializeError("command has bytes after NUL padding");
+  if (data.size() < kHeaderSize) throw bsutil::DeserializeError("header truncated");
+  // Any magic will do: only a malformed command field fails here.
+  const HeaderLook look = LookAtHeader(0, data.data());
+  if (look.status == DecodeStatus::kMalformed) {
+    throw bsutil::DeserializeError("command has bytes after NUL padding");
   }
-  h.command.assign(cmd.begin(), cmd.begin() + static_cast<std::ptrdiff_t>(len));
-  h.length = r.ReadU32();
-  const auto ck = r.ReadBytes(4);
-  std::copy(ck.begin(), ck.end(), h.checksum.begin());
+  MessageHeader h;
+  FillHeader(look, data.data(), h);
   return h;
 }
 
@@ -127,61 +191,20 @@ const char* ToString(DecodeStatus s) {
 
 DecodeResult DecodeMessage(std::uint32_t magic, bsutil::ByteSpan stream) {
   DecodeResult result;
-  if (stream.size() < kHeaderSize) return result;  // kNeedMoreData, consumed 0
-
-  const HeaderLook look = LookAtHeader(magic, stream.data());
-  if (look.status != DecodeStatus::kMalformed) {
-    result.header = MessageHeader::Deserialize(stream.subspan(0, kHeaderSize));
-  }
-  if (look.status != DecodeStatus::kOk) {
-    if (look.status == DecodeStatus::kOversize) {
-      g_oversize_rejects.fetch_add(1, std::memory_order_relaxed);
-    }
-    result.status = look.status;
-    result.consumed = kHeaderSize;
-    return result;
-  }
-  if (stream.size() < look.FrameSize()) return result;
-
-  const bsutil::ByteSpan payload = stream.subspan(kHeaderSize, result.header.length);
-  result.consumed = look.FrameSize();
-
-  // Checksum gate: runs before anything looks at the payload, so a failed
-  // checksum never reaches the misbehavior tracker (the bogus-message vector).
-  if (PayloadChecksum(payload) != result.header.checksum) {
-    result.status = DecodeStatus::kBadChecksum;
-    return result;
-  }
-
-  const auto type = MsgTypeFromCommand(result.header.command);
-  if (!type) {
-    result.status = DecodeStatus::kUnknownCommand;
-    return result;
-  }
-
-  try {
-    result.message = DeserializePayload(*type, payload);
-  } catch (const bsutil::DeserializeError&) {
-    result.status = DecodeStatus::kMalformed;
-    return result;
-  }
-  result.status = DecodeStatus::kOk;
+  DecodeFront(magic, stream, result);
   return result;
 }
 
 bool PeekFrame(std::uint32_t magic, bsutil::ByteSpan stream, FramePeek& out) {
   if (stream.size() < kHeaderSize) return false;
-  MessageHeader header;
-  try {
-    header = MessageHeader::Deserialize(stream.subspan(0, kHeaderSize));
-  } catch (const bsutil::DeserializeError&) {
+  const HeaderLook look = LookAtHeader(magic, stream.data());
+  if (look.status == DecodeStatus::kMalformed || look.status == DecodeStatus::kBadMagic) {
     return false;
   }
-  if (header.magic != magic) return false;
-  out.command = header.command;
-  const auto type = MsgTypeFromCommand(header.command);
+  out.command.assign(reinterpret_cast<const char*>(stream.data() + 4), look.command_len);
+  const auto type = MsgTypeFromCommandField(stream.data() + 4);
   out.msg_type = type ? static_cast<int>(*type) : -1;
-  out.frame_size = kHeaderSize + header.length;
+  out.frame_size = kHeaderSize + look.length;
   return true;
 }
 
@@ -206,8 +229,9 @@ void StreamDecoder::Feed(bsutil::ByteSpan data) {
 }
 
 bool StreamDecoder::Next(DecodeResult& out) {
-  if (BytesNeeded() != 0) return false;
-  out = DecodeMessage(magic_, bsutil::ByteSpan(buffer_.data() + offset_, BufferedBytes()));
+  if (!DecodeFront(magic_, bsutil::ByteSpan(buffer_.data() + offset_, BufferedBytes()), out)) {
+    return false;
+  }
   offset_ += out.consumed;
   ++frames_decoded_;
   Compact();

@@ -17,7 +17,6 @@
 namespace bsproto {
 
 constexpr std::size_t kHeaderSize = 24;
-constexpr std::size_t kCommandSize = 12;
 
 /// First 4 bytes of double-SHA256 over the payload.
 std::array<std::uint8_t, 4> PayloadChecksum(bsutil::ByteSpan payload);
@@ -29,8 +28,9 @@ struct MessageHeader {
   std::array<std::uint8_t, 4> checksum = {};
 
   bsutil::ByteVec Serialize() const;
-  /// Parses exactly kHeaderSize bytes; throws DeserializeError when shorter
-  /// or when the command field contains bytes after a NUL terminator.
+  /// Parses the first kHeaderSize bytes; throws DeserializeError when shorter
+  /// or when the command field contains bytes after a NUL terminator. Reads
+  /// through the same in-place header look as the decoder.
   static MessageHeader Deserialize(bsutil::ByteSpan data);
 };
 
@@ -65,15 +65,25 @@ std::uint64_t CodecOversizeRejects();
 
 const char* ToString(DecodeStatus s);
 
+/// One decoded frame. StreamDecoder::Next() decodes into a caller-owned
+/// result in place, so a result reused across frames makes no allocation for
+/// frames that carry no heap-backed payload (PING, PONG, every dropped frame).
+/// `header` is rewritten on every outcome: the wire fields on a header-
+/// complete frame, all zero when the command field is malformed. `message` is
+/// assigned only on kOk; on any other status it still holds whatever it held.
 struct DecodeResult {
   DecodeStatus status = DecodeStatus::kNeedMoreData;
   MessageHeader header;
-  Message message;          // valid only when status == kOk
+  // Valid only when status == kOk. Defaults to VERACK, an empty message,
+  // because a VersionMsg's user agent would cost a fresh result an allocation.
+  Message message = VerackMsg{};
   std::size_t consumed = 0;  // bytes to drop from the stream
 };
 
 /// Decode one message from the front of `stream`. Consumes the full frame on
-/// any header-complete outcome so the stream can resynchronize.
+/// any header-complete outcome so the stream can resynchronize. A thin wrapper
+/// over the routine StreamDecoder::Next() runs: kNeedMoreData returns a
+/// default result (consumed 0).
 DecodeResult DecodeMessage(std::uint32_t magic, bsutil::ByteSpan stream);
 
 /// Header-only view of the frame at the front of `stream` — command string,
@@ -81,7 +91,9 @@ DecodeResult DecodeMessage(std::uint32_t magic, bsutil::ByteSpan stream);
 /// (header + declared payload). No checksum verification and no payload
 /// parsing, so it is cheap enough for tracing instrumentation to label raw
 /// frames (including deliberately bogus ones) at send time. Returns false
-/// when the stream is shorter than a header or the magic mismatches.
+/// when the stream is shorter than a header, the magic mismatches or the
+/// command field has bytes after its NUL padding. `frame_size` uses the
+/// declared length even when it exceeds kMaxFramePayload.
 struct FramePeek {
   std::string command;
   int msg_type = -1;  // static_cast<int>(MsgType) when known, -1 otherwise
@@ -93,8 +105,8 @@ bool PeekFrame(std::uint32_t magic, bsutil::ByteSpan stream, FramePeek& out);
 /// reassembly path of the node and the attacker. Feed() accepts any chunking
 /// of a byte stream — single bytes, whole frames, frame-and-a-half — and
 /// Next() yields exactly the sequence of DecodeResults that DecodeMessage
-/// would produce over the concatenated stream. Next() calls DecodeMessage only
-/// once the fixed header fields say the front frame is complete, so every
+/// would produce over the concatenated stream. Next() looks at the front
+/// header once and decodes only when it says the frame is complete, so every
 /// status, consumed count, and side effect (including the process-wide
 /// oversize counter) fires once per frame regardless of how the bytes arrived.
 class StreamDecoder {
@@ -110,8 +122,9 @@ class StreamDecoder {
   /// Appends bytes to the reassembly buffer.
   void Feed(bsutil::ByteSpan data);
 
-  /// Decodes the next frame if the buffer holds a header-complete outcome.
-  /// Returns false (and leaves `out` untouched) when more bytes are needed.
+  /// Decodes the next frame into `out`, in place, if the buffer holds a
+  /// header-complete outcome. Returns false (and leaves `out` untouched) when
+  /// more bytes are needed.
   bool Next(DecodeResult& out);
 
   /// Additional bytes that must arrive before the front frame can complete:

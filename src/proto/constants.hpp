@@ -91,10 +91,20 @@ constexpr std::size_t kNumPaperMsgTypes = 26;
 /// All message types, in enum order (for parameterized sweeps).
 const std::array<MsgType, kNumMsgTypes>& AllMsgTypes();
 
+/// Width of the NUL-padded command field of a frame header.
+constexpr std::size_t kCommandSize = 12;
+
 /// Wire command string ("version", "verack", ...).
 const char* CommandName(MsgType type);
 
-/// Reverse lookup; nullopt for unknown commands.
+/// Reverse lookup of a header's command field: the kCommandSize bytes at
+/// `field`, exactly as they sit on the wire (NUL padded). A fixed-width table
+/// built at compile time answers it with no allocation; nullopt for unknown
+/// commands, including a field with bytes after its NUL padding.
+std::optional<MsgType> MsgTypeFromCommandField(const std::uint8_t* field);
+
+/// Reverse lookup of a command string; nullopt for unknown commands, for
+/// strings longer than kCommandSize and for strings holding a NUL.
 std::optional<MsgType> MsgTypeFromCommand(const std::string& command);
 
 }  // namespace bsproto

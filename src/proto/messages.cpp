@@ -188,7 +188,9 @@ ByteVec SerializePayload(const Message& msg) {
 
 Message DeserializePayload(MsgType type, ByteSpan payload) {
   Reader r(payload);
-  Message out;
+  // Every case assigns `out`; an empty VERACK placeholder keeps a PING or
+  // PONG decode free of the allocation a default VersionMsg would make.
+  Message out = VerackMsg{};
   switch (type) {
     case MsgType::kVersion: {
       VersionMsg m;

@@ -431,6 +431,112 @@ TEST(Codec, HeaderRoundTrip) {
   EXPECT_EQ(parsed.checksum, header.checksum);
 }
 
+TEST(Codec, HeaderDeserializeRejectsTruncationAndBadPadding) {
+  ByteVec bytes = EncodeMessage(kMagic, PingMsg{1});
+  EXPECT_THROW(MessageHeader::Deserialize(bsutil::ByteSpan(bytes.data(), kHeaderSize - 1)),
+               bsutil::DeserializeError);
+  bytes[4 + 5] = 'X';  // "ping\0X"
+  EXPECT_THROW(MessageHeader::Deserialize(bytes), bsutil::DeserializeError);
+}
+
+TEST(Codec, CommandFieldLookupMatchesStringLookup) {
+  for (MsgType type : AllMsgTypes()) {
+    std::array<std::uint8_t, kCommandSize> field{};
+    const std::string name = CommandName(type);
+    std::copy(name.begin(), name.end(), field.begin());
+    const auto got = MsgTypeFromCommandField(field.data());
+    ASSERT_TRUE(got.has_value()) << name;
+    EXPECT_EQ(*got, type);
+    field[name.size()] = 'x';  // one byte longer: a different command
+    EXPECT_FALSE(MsgTypeFromCommandField(field.data()).has_value()) << name;
+  }
+  const std::array<std::uint8_t, kCommandSize> empty{};
+  EXPECT_FALSE(MsgTypeFromCommandField(empty.data()).has_value());
+  EXPECT_FALSE(MsgTypeFromCommand(std::string("ping\0", 5)).has_value());
+  EXPECT_FALSE(MsgTypeFromCommand("getblocktxnx").has_value());
+  EXPECT_FALSE(MsgTypeFromCommand("getblocktxnxx").has_value());
+}
+
+TEST(Codec, PeekFrameReadsTheHeaderOnly) {
+  std::array<std::uint8_t, 4> wrong = {1, 2, 3, 4};
+  const ByteVec bogus = EncodeRaw(kMagic, "ping", ByteVec(8, 0), &wrong);
+  FramePeek peek;
+  ASSERT_TRUE(PeekFrame(kMagic, bogus, peek));  // no checksum verification
+  EXPECT_EQ(peek.command, "ping");
+  EXPECT_EQ(peek.msg_type, static_cast<int>(MsgType::kPing));
+  EXPECT_EQ(peek.frame_size, bogus.size());
+
+  const ByteVec unknown = EncodeRaw(kMagic, "bogus", ByteVec(3, 0));
+  ASSERT_TRUE(PeekFrame(kMagic, unknown, peek));
+  EXPECT_EQ(peek.command, "bogus");
+  EXPECT_EQ(peek.msg_type, -1);
+  EXPECT_EQ(peek.frame_size, kHeaderSize + 3);
+
+  // The declared length counts even past the frame bound.
+  MessageHeader oversize;
+  oversize.magic = kMagic;
+  oversize.command = "tx";
+  oversize.length = 0xffffffff;
+  ASSERT_TRUE(PeekFrame(kMagic, oversize.Serialize(), peek));
+  EXPECT_EQ(peek.frame_size, kHeaderSize + 0xffffffffull);
+}
+
+TEST(Codec, PeekFrameRefusesShortForeignAndBadlyPaddedHeaders) {
+  ByteVec frame = EncodeMessage(kMagic, PingMsg{1});
+  FramePeek peek;
+  EXPECT_FALSE(PeekFrame(kMagic, bsutil::ByteSpan(frame.data(), kHeaderSize - 1), peek));
+  EXPECT_FALSE(PeekFrame(kMagic ^ 1, frame, peek));
+  frame[4 + 5] = 'X';
+  EXPECT_FALSE(PeekFrame(kMagic, frame, peek));
+}
+
+TEST(Codec, ReusedResultCarriesNoStaleHeaderFields) {
+  // One result decodes every frame in place, as Node::OnData does: each
+  // outcome rewrites the whole header, and `message` changes only on kOk.
+  ByteVec stream = EncodeMessage(kMagic, PingMsg{42});
+  ByteVec malformed = EncodeRaw(kMagic, "ping", {});
+  malformed[4 + 5] = 'X';
+  const std::array<std::uint8_t, 4> wrong = {9, 9, 9, 9};
+  for (const ByteVec& frame :
+       {malformed, EncodeRaw(kMagic, "veryodd", ByteVec(5, 1)),
+        EncodeRaw(kMagic, "pong", ByteVec(8, 2), &wrong), EncodeMessage(kMagic, PongMsg{7})}) {
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  StreamDecoder decoder(kMagic);
+  decoder.Feed(stream);
+  DecodeResult r;
+
+  ASSERT_TRUE(decoder.Next(r));
+  ASSERT_EQ(r.status, DecodeStatus::kOk);
+  EXPECT_EQ(r.header.command, "ping");
+  EXPECT_EQ(std::get<PingMsg>(r.message).nonce, 42u);
+
+  ASSERT_TRUE(decoder.Next(r));
+  ASSERT_EQ(r.status, DecodeStatus::kMalformed);
+  EXPECT_EQ(r.consumed, kHeaderSize);
+  EXPECT_EQ(r.header.magic, 0u);
+  EXPECT_EQ(r.header.command, "");
+  EXPECT_EQ(r.header.length, 0u);
+  EXPECT_EQ(r.header.checksum, (std::array<std::uint8_t, 4>{}));
+  EXPECT_EQ(std::get<PingMsg>(r.message).nonce, 42u);  // untouched off kOk
+
+  ASSERT_TRUE(decoder.Next(r));
+  ASSERT_EQ(r.status, DecodeStatus::kUnknownCommand);
+  EXPECT_EQ(r.header.magic, kMagic);
+  EXPECT_EQ(r.header.command, "veryodd");
+  EXPECT_EQ(r.header.length, 5u);
+
+  ASSERT_TRUE(decoder.Next(r));
+  ASSERT_EQ(r.status, DecodeStatus::kBadChecksum);
+  EXPECT_EQ(r.header.command, "pong");
+  EXPECT_EQ(r.header.checksum, wrong);
+
+  ASSERT_TRUE(decoder.Next(r));
+  ASSERT_EQ(r.status, DecodeStatus::kOk);
+  EXPECT_EQ(std::get<PongMsg>(r.message).nonce, 7u);
+  EXPECT_FALSE(decoder.Next(r));
+}
+
 // ---------------------------------------------------------------------------
 // NetAddr / Endpoint
 
