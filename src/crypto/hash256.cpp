@@ -35,7 +35,7 @@ std::string Hash256::ToHex() const {
 
 Hash256 Hash256::Deserialize(bsutil::Reader& r) {
   Hash256 out;
-  const auto bytes = r.ReadBytes(kSize);
+  const bsutil::ByteSpan bytes = r.ReadSpan(kSize);
   std::copy(bytes.begin(), bytes.end(), out.bytes_.begin());
   return out;
 }

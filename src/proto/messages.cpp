@@ -204,7 +204,7 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
       m.start_height = r.ReadI32();
       // The relay flag is optional on the wire (BIP-37).
       m.relay = r.AtEnd() ? true : r.ReadBool();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kVerack:
@@ -215,37 +215,37 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
       const std::uint64_t n = ReadCount(r, 30);
       m.addresses.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) m.addresses.push_back(TimedNetAddr::Deserialize(r));
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kInv: {
       InvMsg m;
       m.inventory = DeserializeInv(r);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kGetData: {
       GetDataMsg m;
       m.inventory = DeserializeInv(r);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kNotFound: {
       NotFoundMsg m;
       m.inventory = DeserializeInv(r);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kGetBlocks: {
       GetBlocksMsg m;
       DeserializeLocator(r, m.version, m.locator, m.stop);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kGetHeaders: {
       GetHeadersMsg m;
       DeserializeLocator(r, m.version, m.locator, m.stop);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kHeaders: {
@@ -258,31 +258,31 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
           throw DeserializeError("headers entry carries a nonzero tx count");
         }
       }
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kTx: {
       TxMsg m;
       m.tx = bschain::Transaction::Deserialize(r);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kBlock: {
       BlockMsg m;
       m.block = bschain::Block::Deserialize(r);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kPing: {
       PingMsg m;
       m.nonce = r.ReadU64();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kPong: {
       PongMsg m;
       m.nonce = r.ReadU64();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kGetAddr:
@@ -297,14 +297,14 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
     case MsgType::kFeeFilter: {
       FeeFilterMsg m;
       m.feerate = r.ReadI64();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kSendCmpct: {
       SendCmpctMsg m;
       m.announce = r.ReadBool();
       m.version = r.ReadU64();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kCmpctBlock: {
@@ -329,7 +329,7 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
         prev = p.index;
         m.prefilled.push_back(std::move(p));
       }
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kGetBlockTxn: {
@@ -345,7 +345,7 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
         m.indexes.push_back(idx);
         prev = idx;
       }
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kBlockTxn: {
@@ -354,7 +354,7 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
       const std::uint64_t n = ReadCount(r, 10);
       m.txs.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) m.txs.push_back(bschain::Transaction::Deserialize(r));
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kFilterLoad: {
@@ -365,13 +365,13 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
       m.n_hash_funcs = r.ReadU32();
       m.n_tweak = r.ReadU32();
       m.n_flags = r.ReadU8();
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kFilterAdd: {
       FilterAddMsg m;
       m.data = r.ReadVarBytes(kMaxFramePayload);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kFilterClear:
@@ -385,7 +385,7 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
       m.hashes.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) m.hashes.push_back(bscrypto::Hash256::Deserialize(r));
       m.flags = r.ReadVarBytes(kMaxFramePayload);
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kReject: {
@@ -394,7 +394,7 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
       m.code = r.ReadU8();
       m.reason = r.ReadVarString();
       m.data = r.ReadBytes(r.Remaining());
-      out = m;
+      out = std::move(m);
       break;
     }
     case MsgType::kTipProbe: {
@@ -408,7 +408,7 @@ Message DeserializePayload(MsgType type, ByteSpan payload) {
         tip.hash = bscrypto::Hash256::Deserialize(r);
         m.tips.push_back(tip);
       }
-      out = m;
+      out = std::move(m);
       break;
     }
   }

@@ -74,9 +74,13 @@ std::uint64_t Reader::ReadU64() {
 }
 
 ByteVec Reader::ReadBytes(std::size_t n) {
+  const ByteSpan bytes = ReadSpan(n);
+  return ByteVec(bytes.begin(), bytes.end());
+}
+
+ByteSpan Reader::ReadSpan(std::size_t n) {
   Need(n);
-  ByteVec out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const ByteSpan out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
 }

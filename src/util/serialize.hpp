@@ -67,6 +67,8 @@ class Reader {
   bool ReadBool() { return ReadU8() != 0; }
   double ReadDouble() { return std::bit_cast<double>(ReadU64()); }
   ByteVec ReadBytes(std::size_t n);
+  /// The next `n` bytes as a view into the input: no copy, no allocation.
+  ByteSpan ReadSpan(std::size_t n);
   /// Reads a CompactSize and enforces canonical (minimal) encoding, as
   /// Bitcoin Core does for lengths.
   std::uint64_t ReadCompactSize();

@@ -1,6 +1,7 @@
 // Zero-allocation receive path. This binary replaces the global operator new
 // with a counting one, then checks that a warm StreamDecoder::Next decodes
-// PING, PONG and every frame the node drops without a heap allocation, and
+// PING, PONG and every frame the node drops without a heap allocation (and
+// an INV with only the allocation of its inventory vector), and
 // that Node::OnData handles a flood of unknown-command frames (the paper's
 // unscored BM-DoS frame) without one either. Each unscored frame's fixed
 // cost is what a flooder spends the victim's CPU on, so an allocation there
@@ -136,6 +137,25 @@ TEST(ZeroAlloc, WarmStreamDecoderNextAllocatesNothing) {
     EXPECT_EQ(allocations, 0u) << c.name << ": " << allocations << " allocations over "
                                << kFrames << " frames";
   }
+}
+
+TEST(ZeroAlloc, WarmStreamDecoderNextAllocatesOnlyTheInventoryVector) {
+  // A typed payload with a vector decodes into one allocation: the vector
+  // itself. A second one means the decoded message was copied on its way out.
+  bsproto::InvMsg inv;
+  inv.inventory.resize(3);
+  const ByteVec frame = bsproto::EncodeMessage(kMagic, inv);
+  bsproto::StreamDecoder decoder(kMagic);
+  bsproto::DecodeResult result;
+  decoder.Feed(Repeat(frame, 2));
+  ASSERT_TRUE(decoder.Next(result));  // warm: `result` holds an InvMsg
+
+  const std::uint64_t before = Allocations();
+  ASSERT_TRUE(decoder.Next(result));
+  const std::uint64_t allocations = Allocations() - before;
+  EXPECT_EQ(result.status, DecodeStatus::kOk);
+  EXPECT_EQ(std::get<bsproto::InvMsg>(result.message).inventory.size(), 3u);
+  EXPECT_EQ(allocations, 1u);
 }
 
 TEST(ZeroAlloc, FreshDecodeResultAllocatesNothing) {
