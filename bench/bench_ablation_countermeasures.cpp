@@ -14,10 +14,10 @@
 
 #include "attack/attacker.hpp"
 #include "attack/crafter.hpp"
-#include "attack/defamation.hpp"
-#include "attack/sybil.hpp"
 #include "bench_util.hpp"
 #include "core/node.hpp"
+#include "scenario/defame_world.hpp"
+#include "scenario/sybil_world.hpp"
 
 namespace {
 
@@ -37,61 +37,29 @@ struct PolicyOutcome {
 };
 
 PolicyOutcome RunPolicyScenario(BanPolicy policy) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  NodeConfig target_config;
-  target_config.ban_policy = policy;
-  target_config.target_outbound = 2;
-  Node target(sched, net, kTargetIp, target_config);
-
-  NodeConfig peer_config;
-  peer_config.target_outbound = 0;
-  Node innocent(sched, net, kInnocentIp, peer_config);
-  Node bystander(sched, net, kInnocentIp + 1, peer_config);
-  innocent.Start();
-  bystander.Start();
-  target.AddKnownAddress({kInnocentIp, 8333});
-  target.AddKnownAddress({kInnocentIp + 1, 8333});
-  target.Start();
-  sched.RunUntil(5 * bsim::kSecond);
-
-  // Innocent peer earns good score by mining a block the target fetches.
-  innocent.MineAndRelay();
-  sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
-
-  // Post-connection Defamation against the innocent outbound peer.
-  AttackerNode attacker(sched, net, kAttackerIp, target_config.chain.magic);
-  Crafter crafter(target_config.chain);
-  const Peer* outbound = nullptr;
-  for (const Peer* p : target.Peers()) {
-    if (!p->inbound && p->remote.ip == kInnocentIp) outbound = p;
-  }
-  PolicyOutcome outcome{false, false, false};
-  if (outbound != nullptr) {
-    bsattack::PostConnectionDefamation defamation(attacker, outbound->conn->Local(),
-                                                  outbound->remote);
-    defamation.Arm({bsproto::EncodeMessage(target_config.chain.magic,
-                                           crafter.SegwitInvalidTx())});
-    innocent.SendToRemoteIp(kTargetIp, bsproto::PingMsg{1});
-    sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
-    outcome.innocent_banned =
-        target.Bans().IsBanned(Endpoint{kInnocentIp, 8333}, sched.Now());
-  }
+  // Post-connection Defamation of an innocent block-providing outbound peer;
+  // a bystander holds the target's second outbound slot.
+  bsscenario::DefameSpec spec;
+  spec.policy = policy;
+  spec.outbound = 2;
+  bsscenario::DefameWorld world(spec);
+  const bsscenario::DefameOutcome defamed = world.DefamePost();
+  PolicyOutcome outcome{defamed.session_found && defamed.banned, false, false};
 
   // Separately: a plain misbehaving attacker session.
-  AttackSession* session = attacker.OpenSession({kTargetIp, 8333});
-  sched.RunUntil(sched.Now() + bsim::kSecond);
-  attacker.Send(*session, crafter.SegwitInvalidTx());
-  sched.RunUntil(sched.Now() + bsim::kSecond);
+  AttackSession* session = world.attacker->OpenSession({kTargetIp, 8333});
+  world.RunFor(1);
+  world.attacker->Send(*session, world.crafter.SegwitInvalidTx());
+  world.RunFor(1);
   outcome.attacker_banned = session->closed;
 
   // Liveness (§VIII: "disabling the ban score does not affect any of the
   // other Bitcoin operations"): a block mined by an uninvolved peer still
   // reaches the target under every policy. (The defamed peer's own TCP
   // session is desynchronized by the injection regardless of policy.)
-  const auto block = bystander.MineAndRelay();
-  sched.RunUntil(sched.Now() + 10 * bsim::kSecond);
-  outcome.block_still_relayed = block && target.Chain().HaveBlock(block->Hash());
+  const auto block = world.bystander->MineAndRelay();
+  world.RunFor(10);
+  outcome.block_still_relayed = block && world.target->Chain().HaveBlock(block->Hash());
   return outcome;
 }
 
@@ -123,22 +91,13 @@ void VersionAblation(bsbench::JsonReport& report) {
   bsbench::PrintRule();
   for (CoreVersion version :
        {CoreVersion::kV0_20, CoreVersion::kV0_21, CoreVersion::kV0_22}) {
-    bsim::Scheduler sched;
-    bsim::Network net(sched);
-    NodeConfig config;
-    config.core_version = version;
-    Node target(sched, net, kTargetIp, config);
-    target.Start();
-    AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-    bsattack::SerialSybilConfig sc;
-    sc.max_identifiers = 10;
-    bsattack::SerialSybilAttack attack(attacker, {kTargetIp, 8333}, sc);
-    attack.Start();
-    sched.RunUntil(20 * bsim::kSecond);
-    std::printf("%-10s | %18d | %s\n", ToString(version), attack.IdentifiersBanned(),
-                attack.IdentifiersBanned() > 0 ? "yes" : "no (VERSION rules removed)");
-    report.Add(std::string("sybil_bans_") + ToString(version),
-               attack.IdentifiersBanned());
+    bsscenario::SybilSpec spec;
+    spec.version = version;
+    spec.attack.max_identifiers = 10;
+    const int banned = bsscenario::SybilWorld(spec).Run(20).banned;
+    std::printf("%-10s | %18d | %s\n", ToString(version), banned,
+                banned > 0 ? "yes" : "no (VERSION rules removed)");
+    report.Add(std::string("sybil_bans_") + ToString(version), banned);
   }
 }
 
@@ -148,27 +107,13 @@ void ThresholdSweep(bsbench::JsonReport& report) {
               "msgs/identifier");
   bsbench::PrintRule();
   for (int threshold : {20, 50, 100, 200, 500}) {
-    bsim::Scheduler sched;
-    bsim::Network net(sched);
-    NodeConfig config;
-    config.ban_threshold = threshold;
-    Node target(sched, net, kTargetIp, config);
-    target.Start();
-    AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-    bsattack::SerialSybilConfig sc;
-    sc.max_identifiers = 5;
-    bsattack::SerialSybilAttack attack(attacker, {kTargetIp, 8333}, sc);
-    attack.Start();
-    sched.RunUntil(30 * bsim::kSecond);
-    double mean_msgs = 0;
-    for (const auto& rec : attack.Records()) {
-      mean_msgs += static_cast<double>(rec.messages_sent);
-    }
-    mean_msgs /= std::max<std::size_t>(1, attack.Records().size());
-    std::printf("%-10d | %18.4f | %16.1f\n", threshold, attack.MeanTimeToBan(),
-                mean_msgs);
-    report.Add("time_to_ban_threshold_" + std::to_string(threshold),
-               attack.MeanTimeToBan());
+    bsscenario::SybilSpec spec;
+    spec.threshold = threshold;
+    spec.attack.max_identifiers = 5;
+    const bsscenario::SybilOutcome out = bsscenario::SybilWorld(spec).Run(30);
+    std::printf("%-10d | %18.4f | %16.1f\n", threshold, out.mean_time_to_ban,
+                out.mean_messages);
+    report.Add("time_to_ban_threshold_" + std::to_string(threshold), out.mean_time_to_ban);
   }
   std::printf("\n(the threshold trades attacker-eviction speed against Defamation cost:\n"
               " lower thresholds also let a Defamation attacker ban innocents faster)\n");

@@ -14,24 +14,15 @@
 #include <cstdio>
 #include <string>
 
-#include "attack/bmdos.hpp"
 #include "bench_util.hpp"
-#include "core/node.hpp"
+#include "scenario/bmdos_world.hpp"
 #include "util/stats.hpp"
 
 namespace {
 
-using bsattack::AttackerNode;
-using bsattack::BmDosAttack;
 using bsattack::BmDosConfig;
-using bsattack::Crafter;
-using bsnet::Node;
-using bsnet::NodeConfig;
 
-constexpr std::uint32_t kTargetIp = 0x0a000001;
-constexpr std::uint32_t kAttackerIp = 0x0a000002;
 constexpr int kSamples = 100;  // the paper's 100 mining samples
-constexpr int kNormalConnections = 10;  // Mainnet peers of the victim
 
 // One registry shared by every scenario's victim node and scheduler: the
 // --json report carries the cumulative bsobs view of the whole run.
@@ -45,42 +36,24 @@ struct SeriesPoint {
 
 bsutil::Summary RunScenario(std::optional<BmDosConfig::Payload> payload,
                             int sybil_connections) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  bsim::CpuModelConfig cpu_config;
+  bsscenario::BmDosSpec spec;
   // Testbed-like measurement jitter so the 95% CI bars are meaningful.
-  cpu_config.measurement_jitter = 0.015;
-  cpu_config.jitter_seed = 42 + static_cast<std::uint64_t>(sybil_connections);
-  bsim::CpuModel cpu(cpu_config);
-  sched.AttachMetrics(g_metrics);
-  NodeConfig config;
-  config.metrics = &g_metrics;
-  Node victim(sched, net, kTargetIp, config, &cpu);
-  victim.Start();
-  AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-  Crafter crafter(config.chain);
-
-  std::unique_ptr<BmDosAttack> attack;
-  if (payload) {
-    BmDosConfig bm;
-    bm.payload = *payload;
-    bm.sybil_connections = sybil_connections;
-    attack = std::make_unique<BmDosAttack>(attacker, bsproto::Endpoint{kTargetIp, 8333},
-                                           crafter, bm);
-    attack->Start();
-  }
-  cpu.SetActiveConnections(kNormalConnections + (payload ? sybil_connections : 0));
-
-  sched.RunUntil(2 * bsim::kSecond);  // handshakes + flood warm-up
+  spec.cpu.emplace();
+  spec.cpu->measurement_jitter = 0.015;
+  spec.cpu->jitter_seed = 42 + static_cast<std::uint64_t>(sybil_connections);
+  spec.metrics = &g_metrics;
+  spec.flood.sybil_connections = sybil_connections;
+  if (payload) spec.flood.payload = *payload;
+  bsscenario::BmDosWorld world(spec);
+  if (payload) world.StartFlood();
+  world.RunFor(2);  // handshakes + flood warm-up
 
   std::vector<double> samples;
   samples.reserve(kSamples);
   for (int i = 0; i < kSamples; ++i) {
-    cpu.BeginWindow(sched.Now());
-    sched.RunUntil(sched.Now() + bsim::kSecond);
-    samples.push_back(cpu.EndWindow(sched.Now()).mining_rate_hps);
+    samples.push_back(world.MiningWindow(1).mining_rate_hps);
   }
-  if (attack) attack->Stop();
+  if (payload) world.StopFlood();
   return bsutil::Summarize(samples);
 }
 
@@ -91,7 +64,7 @@ int main(int argc, char** argv) {
   bsbench::PrintTitle("bench_fig6_mining_rate — Fig. 6: BM-DoS impacts mining rate");
   std::printf("victim: %d Mainnet connections, flood with no inter-message delay,\n"
               "%d samples of 1 simulated second each (mean with 95%% CI)\n",
-              kNormalConnections, kSamples);
+              bsscenario::BmDosWorld::kNormalConnections, kSamples);
 
   std::vector<SeriesPoint> points;
   points.push_back({"no attack", 9.5e5, RunScenario(std::nullopt, 0)});

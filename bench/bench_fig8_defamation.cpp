@@ -13,19 +13,16 @@
 // trajectory of a single identifier (score vs message count).
 #include <cstdio>
 
-#include <memory>
 #include <vector>
 
-#include "attack/defamation.hpp"
-#include "attack/sybil.hpp"
 #include "bench_util.hpp"
 #include "core/node.hpp"
+#include "scenario/defame_world.hpp"
+#include "scenario/sybil_world.hpp"
 
 namespace {
 
 using bsattack::AttackerNode;
-using bsattack::SerialSybilAttack;
-using bsattack::SerialSybilConfig;
 using bsnet::Node;
 using bsnet::NodeConfig;
 
@@ -36,37 +33,13 @@ constexpr std::uint32_t kAttackerIp = 0x0a000002;
 // bs_ban_* series shows the score/ban plane under attack).
 bsobs::MetricsRegistry g_metrics;
 
-struct RunResult {
-  double mean_time_to_ban_sec;
-  int identifiers_banned;
-  std::vector<double> per_identifier_sec;
-};
-
-RunResult RunSybilLoop(bsim::SimTime extra_delay, int identifiers) {
-  bsim::Scheduler sched;
-  sched.AttachMetrics(g_metrics);
-  bsim::Network net(sched);
-  net.AttachMetrics(g_metrics);  // wire counters (bs_sim_segments_*) in the report
-  NodeConfig config;
-  config.metrics = &g_metrics;
-  Node target(sched, net, kTargetIp, config);
-  target.Start();
-  AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-
-  SerialSybilConfig sc;
-  sc.extra_message_delay = extra_delay;
-  sc.max_identifiers = identifiers;
-  SerialSybilAttack attack(attacker, {kTargetIp, 8333}, sc);
-  attack.Start();
-  sched.RunUntil(sched.Now() + bsim::FromSeconds(identifiers * 2.0 + 10.0));
-
-  RunResult result;
-  result.mean_time_to_ban_sec = attack.MeanTimeToBan();
-  result.identifiers_banned = attack.IdentifiersBanned();
-  for (const auto& rec : attack.Records()) {
-    if (rec.banned_at != 0) result.per_identifier_sec.push_back(rec.TimeToBanSeconds());
-  }
-  return result;
+bsscenario::SybilOutcome RunSybilLoop(bsim::SimTime extra_delay, int identifiers) {
+  bsscenario::SybilSpec spec;
+  spec.metrics = &g_metrics;
+  spec.attack.extra_message_delay = extra_delay;
+  spec.attack.max_identifiers = identifiers;
+  bsscenario::SybilWorld world(spec);
+  return world.Run(identifiers * 2.0 + 10.0);
 }
 
 void PrintScoreTrajectory() {
@@ -110,21 +83,21 @@ int main(int argc, char** argv) {
   const std::string json_path = bsbench::TakeJsonFlag(argc, argv);
   bsbench::PrintTitle("bench_fig8_defamation — Fig. 8: Defamation via VERSION message");
 
-  const RunResult no_delay = RunSybilLoop(0, 20);
-  const RunResult one_ms = RunSybilLoop(bsim::kMillisecond, 20);
+  const bsscenario::SybilOutcome no_delay = RunSybilLoop(0, 20);
+  const bsscenario::SybilOutcome one_ms = RunSybilLoop(bsim::kMillisecond, 20);
 
   bsbench::PrintSection("serial Sybil loop, 20 identifiers each");
   std::printf("%-12s | %10s | %14s | %10s\n", "delay", "banned", "mean t2ban (s)",
               "paper (s)");
   bsbench::PrintRule();
-  std::printf("%-12s | %10d | %14.4f | %10.2f\n", "none", no_delay.identifiers_banned,
-              no_delay.mean_time_to_ban_sec, 0.1);
-  std::printf("%-12s | %10d | %14.4f | %10.2f\n", "1 ms", one_ms.identifiers_banned,
-              one_ms.mean_time_to_ban_sec, 0.2);
+  std::printf("%-12s | %10d | %14.4f | %10.2f\n", "none", no_delay.banned,
+              no_delay.mean_time_to_ban, 0.1);
+  std::printf("%-12s | %10d | %14.4f | %10.2f\n", "1 ms", one_ms.banned,
+              one_ms.mean_time_to_ban, 0.2);
 
   bsbench::PrintSection("per-identifier time-to-ban, no delay (the Fig. 8 trace)");
-  for (std::size_t i = 0; i < no_delay.per_identifier_sec.size(); ++i) {
-    std::printf("identifier %2zu: %.4f s\n", i + 1, no_delay.per_identifier_sec[i]);
+  for (std::size_t i = 0; i < no_delay.time_to_ban.size(); ++i) {
+    std::printf("identifier %2zu: %.4f s\n", i + 1, no_delay.time_to_ban[i]);
   }
 
   PrintScoreTrajectory();
@@ -133,38 +106,23 @@ int main(int argc, char** argv) {
   bsbench::PrintSection(
       "peer-table diversity decay under pre-connection defamation (§VI-D)");
   {
-    bsim::Scheduler sched;
-    bsim::Network net(sched);
-    NodeConfig config;
-    Node target(sched, net, kTargetIp, config);
-    target.Start();
-    // A 50-identifier address pool (one innocent host, many ports — per-
+    // A 50-identifier address pool: one innocent host, many ports (per-
     // [IP:Port] banning makes each a distinct peer-table entry).
-    constexpr std::uint32_t kPoolIp = 0x0a000030;
-    bsim::Host pool_host(sched, net, kPoolIp);
-    for (std::uint16_t port = 9000; port < 9050; ++port) {
-      target.AddKnownAddress({kPoolIp, port});
-    }
-    AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-    const auto frames =
-        bsattack::PreConnectionDefamation::InstantBanFrames(config.chain.magic);
-
+    bsscenario::DefameWorld world(bsscenario::DefameSpec{});
     std::printf("%-18s | %s\n", "identifiers defamed", "usable pool entries");
     bsbench::PrintRule('-', 44);
-    std::vector<std::unique_ptr<bsattack::PreConnectionDefamation>> attacks;
     for (int defamed = 0; defamed <= 50; defamed += 10) {
       std::size_t usable = 0;
       for (std::uint16_t port = 9000; port < 9050; ++port) {
-        if (!target.Bans().IsBanned({kPoolIp, port}, sched.Now())) ++usable;
+        if (!world.target->Bans().IsBanned({bsscenario::DefameWorld::kInnocentIp, port},
+                                           world.sched.Now())) {
+          ++usable;
+        }
       }
       std::printf("%-18d | %zu\n", defamed, usable);
       for (int i = 0; i < 10 && defamed < 50; ++i) {
-        const std::uint16_t port = static_cast<std::uint16_t>(9000 + defamed + i);
-        attacks.push_back(std::make_unique<bsattack::PreConnectionDefamation>(
-            attacker, bsproto::Endpoint{kTargetIp, 8333},
-            bsproto::Endpoint{kPoolIp, port}, frames));
-        attacks.back()->Run();
-        sched.RunUntil(sched.Now() + bsim::FromSeconds(0.3));  // §VI-D pacing
+        // §VI-D pacing: one identifier every 0.3 s.
+        world.DefamePre(static_cast<std::uint16_t>(9000 + defamed + i), 0.3);
       }
     }
     std::printf("(every defamed identifier is unusable for 24 h; at the paper's "
@@ -173,20 +131,19 @@ int main(int argc, char** argv) {
   }
 
   bsbench::PrintSection("full-IP (pre-connection) defamation projection, §VI-D");
-  const double per_id = no_delay.mean_time_to_ban_sec + 0.2;  // + socket setup
   std::printf("per-identifier cost: %.3f s (ban) + 0.200 s (socket setup)\n",
-              no_delay.mean_time_to_ban_sec);
+              no_delay.mean_time_to_ban);
   std::printf("16384 ephemeral ports x %.3f s / 60 = %.2f min (paper: 81.92 min)\n",
-              per_id, 16384.0 * per_id / 60.0);
+              no_delay.mean_time_to_ban + 0.2, no_delay.FullIpMinutes());
   std::printf("-> the whole IP is unable to connect to the target for 24 h\n");
 
   bsbench::JsonReport report("bench_fig8_defamation");
   report.SetSeed(42);  // NodeConfig default; every node derives from it
-  report.Add("no_delay_identifiers_banned", no_delay.identifiers_banned);
-  report.Add("no_delay_mean_time_to_ban_sec", no_delay.mean_time_to_ban_sec);
-  report.Add("one_ms_identifiers_banned", one_ms.identifiers_banned);
-  report.Add("one_ms_mean_time_to_ban_sec", one_ms.mean_time_to_ban_sec);
-  report.Add("full_ip_projection_min", 16384.0 * per_id / 60.0);
+  report.Add("no_delay_identifiers_banned", no_delay.banned);
+  report.Add("no_delay_mean_time_to_ban_sec", no_delay.mean_time_to_ban);
+  report.Add("one_ms_identifiers_banned", one_ms.banned);
+  report.Add("one_ms_mean_time_to_ban_sec", one_ms.mean_time_to_ban);
+  report.Add("full_ip_projection_min", no_delay.FullIpMinutes());
   report.AttachRegistry(g_metrics);
   report.WriteTo(json_path);
   return 0;

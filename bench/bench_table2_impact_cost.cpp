@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 
-#include "attack/bmdos.hpp"
 #include "attack/crafter.hpp"
 #include "bench_util.hpp"
 #include "chain/chainstate.hpp"
@@ -28,6 +27,7 @@
 #include "obs/profiler.hpp"
 #include "proto/codec.hpp"
 #include "proto/compact.hpp"
+#include "scenario/bmdos_world.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -339,31 +339,21 @@ void RunTable(bsbench::JsonReport& report) {
 void RunNodePipeline(bsobs::MetricsRegistry& registry, bsbench::JsonReport& report) {
   bsbench::PrintSection("Node pipeline — BM-DoS payloads vs a live victim (bsobs view)");
 
-  bsim::Scheduler sched;
-  sched.AttachMetrics(registry);
-  bsim::Network net(sched);
-  bsnet::NodeConfig config;
-  config.metrics = &registry;  // shared, scrapeable registry for the report
   bsobs::HotpathProfiler profiler;
-  config.profiler = &profiler;
-  bsnet::Node victim(sched, net, 0x0a000001, config);
-  victim.Start();
-  bsattack::AttackerNode attacker(sched, net, 0x0a000002, config.chain.magic);
-  Crafter node_crafter(config.chain);
-
-  const auto flood = [&](bsattack::BmDosConfig::Payload payload, double seconds) {
-    bsattack::BmDosConfig bc;
-    bc.payload = payload;
-    bsattack::BmDosAttack attack(attacker, bsproto::Endpoint{0x0a000001, 8333},
-                                 node_crafter, bc);
-    attack.Start();
-    const bsim::SimTime start = sched.Now();
-    sched.RunUntil(start + bsim::FromSeconds(seconds));
-    attack.Stop();
-  };
-  flood(bsattack::BmDosConfig::Payload::kBogusBlock, 5.0);
-  flood(bsattack::BmDosConfig::Payload::kPing, 5.0);
-  flood(bsattack::BmDosConfig::Payload::kUnknownCommand, 5.0);
+  bsscenario::BmDosSpec spec;
+  spec.metrics = &registry;  // shared, scrapeable registry for the report
+  spec.profiler = &profiler;
+  bsscenario::BmDosWorld world(spec);
+  for (const auto payload : {bsattack::BmDosConfig::Payload::kBogusBlock,
+                             bsattack::BmDosConfig::Payload::kPing,
+                             bsattack::BmDosConfig::Payload::kUnknownCommand}) {
+    bsattack::BmDosConfig flood;
+    flood.payload = payload;
+    world.StartFlood(flood);
+    world.RunFor(5.0);
+    world.StopFlood();
+  }
+  bsnet::Node& victim = *world.victim;
 
   std::printf("frames dropped (bad checksum):   %llu\n",
               static_cast<unsigned long long>(victim.FramesDroppedBadChecksum()));

@@ -11,26 +11,15 @@
 //               1e5 -> 505639, 1e6 -> 359116  (h/s)
 #include <cstdio>
 
-#include "attack/bmdos.hpp"
 #include "attack/icmpflood.hpp"
 #include "bench_util.hpp"
 #include "core/costmodel.hpp"
-#include "core/node.hpp"
+#include "scenario/bmdos_world.hpp"
 
 namespace {
 
-using bsattack::AttackerNode;
-using bsattack::BmDosAttack;
-using bsattack::BmDosConfig;
-using bsattack::Crafter;
-using bsattack::IcmpFloodConfig;
-using bsattack::IcmpFlooder;
-using bsnet::Node;
-using bsnet::NodeConfig;
+using bsscenario::BmDosWorld;
 
-constexpr std::uint32_t kTargetIp = 0x0a000001;
-constexpr std::uint32_t kAttackerIp = 0x0a000002;
-constexpr int kNormalConnections = 10;
 constexpr double kMeasureSeconds = 20.0;
 
 // Shared registry: every flood run's victim feeds the same bsobs series so
@@ -45,47 +34,32 @@ struct Result {
 };
 
 Result RunFlood(bool bitcoin_ping, double rate) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  bsim::CpuModel cpu;
-  sched.AttachMetrics(g_metrics);
-  NodeConfig config;
-  config.metrics = &g_metrics;
-  Node victim(sched, net, kTargetIp, config, &cpu);
-  victim.Start();
-  AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-  Crafter crafter(config.chain);
-
-  std::unique_ptr<BmDosAttack> bm;
-  std::unique_ptr<IcmpFlooder> icmp;
+  bsscenario::BmDosSpec spec;
+  spec.cpu.emplace();
+  spec.metrics = &g_metrics;
+  spec.flood.payload = bsattack::BmDosConfig::Payload::kPing;
+  spec.flood.rate_msgs_per_sec = rate;
+  // The ICMP flood opens no sessions.
+  if (!bitcoin_ping) spec.flood.sybil_connections = 0;
+  BmDosWorld world(spec);
+  bsattack::IcmpFloodConfig ic;
+  ic.rate_pkts_per_sec = rate;
+  bsattack::IcmpFlooder icmp(*world.attacker, BmDosWorld::kVictimIp, ic);
   if (bitcoin_ping) {
-    BmDosConfig bc;
-    bc.payload = BmDosConfig::Payload::kPing;
-    bc.rate_msgs_per_sec = rate;
-    bm = std::make_unique<BmDosAttack>(attacker, bsproto::Endpoint{kTargetIp, 8333},
-                                       crafter, bc);
-    bm->Start();
-    cpu.SetActiveConnections(kNormalConnections + 1);
+    world.StartFlood();
   } else {
-    IcmpFloodConfig ic;
-    ic.rate_pkts_per_sec = rate;
-    icmp = std::make_unique<IcmpFlooder>(attacker, kTargetIp, ic);
-    icmp->Start();
-    cpu.SetActiveConnections(kNormalConnections);
+    icmp.Start();
   }
 
-  sched.RunUntil(2 * bsim::kSecond);
-  net.ResetByteCounters();
-  cpu.BeginWindow(sched.Now());
-  const bsim::SimTime start = sched.Now();
-  sched.RunUntil(start + bsim::FromSeconds(kMeasureSeconds));
-  const auto sample = cpu.EndWindow(sched.Now());
+  world.RunFor(2);
+  world.net.ResetByteCounters();
+  const bsim::MiningSample sample = world.MiningWindow(kMeasureSeconds);
 
   Result result;
   result.mining_rate_hps = sample.mining_rate_hps;
   result.bandwidth_kbits =
-      static_cast<double>(net.BytesDeliveredTo(kTargetIp)) * 8.0 / 1000.0 /
-      kMeasureSeconds;
+      static_cast<double>(world.net.BytesDeliveredTo(BmDosWorld::kVictimIp)) * 8.0 /
+      1000.0 / kMeasureSeconds;
   if (bitcoin_ping) {
     result.attacker_cpu_percent = bsnet::PythonAttackerCpuPercent(
         std::min(rate, bsnet::kBmDosPipelineCapMsgsPerSec));

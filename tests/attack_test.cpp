@@ -7,13 +7,13 @@
 #include <set>
 #include <vector>
 
-#include "attack/bmdos.hpp"
 #include "attack/defamation.hpp"
 #include "attack/eclipse.hpp"
 #include "attack/icmpflood.hpp"
-#include "attack/sybil.hpp"
 #include "attack/traffic.hpp"
 #include "core/node.hpp"
+#include "scenario/bmdos_world.hpp"
+#include "scenario/sybil_world.hpp"
 
 namespace {
 
@@ -25,62 +25,69 @@ constexpr std::uint32_t kTargetIp = 0x0a000001;
 constexpr std::uint32_t kAttackerIp = 0x0a000002;
 constexpr std::uint32_t kInnocentIp = 0x0a000003;
 
-struct AttackFixture : ::testing::Test {
-  AttackFixture()
-      : net(sched),
-        cpu(),
-        node(sched, net, kTargetIp, NodeConfig{}, &cpu),
-        attacker(sched, net, kAttackerIp, NodeConfig{}.chain.magic),
-        crafter(NodeConfig{}.chain) {
-    node.Start();
-  }
+bsscenario::BmDosSpec MiningVictim() {
+  bsscenario::BmDosSpec spec;
+  spec.cpu.emplace();
+  return spec;
+}
 
-  bsim::Scheduler sched;
-  bsim::Network net;
-  bsim::CpuModel cpu;
-  Node node;
-  AttackerNode attacker;
-  Crafter crafter;
+/// The BM-DoS world with a mining victim, nothing flooding yet.
+struct AttackFixture : ::testing::Test {
+  bsscenario::BmDosWorld world{MiningVictim()};
+  bsim::Scheduler& sched = world.sched;
+  bsim::Network& net = world.net;
+  Node& node = *world.victim;
+  AttackerNode& attacker = *world.attacker;
+  Crafter crafter{NodeConfig{}.chain};
 };
+
+/// The victim's mining rate over [2 s, 7 s] of a flood with `payload`.
+double MiningUnderFlood(BmDosConfig::Payload payload) {
+  bsscenario::BmDosSpec spec = MiningVictim();
+  spec.flood.payload = payload;
+  bsscenario::BmDosWorld world(spec);
+  world.StartFlood();
+  world.RunFor(2);  // warm up
+  return world.MiningWindow(5).mining_rate_hps;
+}
+
+/// The Fig. 8 world: a serial Sybil of `identifiers` run for `seconds`.
+bsscenario::SybilSpec SybilOf(int identifiers, bsim::SimTime extra_delay = 0) {
+  bsscenario::SybilSpec spec;
+  spec.attack.max_identifiers = identifiers;
+  spec.attack.extra_message_delay = extra_delay;
+  return spec;
+}
 
 // ---------------------------------------------------------------------------
 // BM-DoS
 
 TEST_F(AttackFixture, PingFloodIsNeverBanned) {
-  BmDosConfig config;
-  config.payload = BmDosConfig::Payload::kPing;
-  BmDosAttack attack(attacker, {kTargetIp, 8333}, crafter, config);
-  attack.Start();
+  world.StartFlood();  // PING at the pipeline cap
   sched.RunUntil(5 * bsim::kSecond);
-  attack.Stop();
-  EXPECT_GT(attack.MessagesSent(), 3000u);
+  world.StopFlood();
+  EXPECT_GT(world.Flood().MessagesSent(), 3000u);
   EXPECT_EQ(node.PeersBanned(), 0u);
-  EXPECT_EQ(attack.ReadySessions(), 1);
+  EXPECT_EQ(world.Flood().ReadySessions(), 1);
   EXPECT_GE(node.MessageCounts().at(bsproto::MsgType::kPing), 3000u);
 }
 
 TEST_F(AttackFixture, PingFloodRateRespectsPipelineCap) {
   BmDosConfig config;
-  config.payload = BmDosConfig::Payload::kPing;
   config.rate_msgs_per_sec = 50'000;  // demanded above the cap
-  BmDosAttack attack(attacker, {kTargetIp, 8333}, crafter, config);
-  EXPECT_DOUBLE_EQ(attack.EffectiveRate(), bsnet::kBmDosPipelineCapMsgsPerSec);
-  attack.Start();
+  world.StartFlood(config);
+  EXPECT_DOUBLE_EQ(world.Flood().EffectiveRate(), bsnet::kBmDosPipelineCapMsgsPerSec);
   sched.RunUntil(3 * bsim::kSecond);
-  attack.Stop();
-  EXPECT_LE(attack.MessagesSent(), 3100u);  // ~1e3/s despite the demand
+  world.StopFlood();
+  EXPECT_LE(world.Flood().MessagesSent(), 3100u);  // ~1e3/s despite the demand
 }
 
 TEST_F(AttackFixture, BogusBlockFloodConsumesVictimCpuWithoutBans) {
-  cpu.SetActiveConnections(1);
   BmDosConfig config;
   config.payload = BmDosConfig::Payload::kBogusBlock;
-  BmDosAttack attack(attacker, {kTargetIp, 8333}, crafter, config);
-  attack.Start();
-  cpu.BeginWindow(sched.Now());
-  sched.RunUntil(5 * bsim::kSecond);
-  const auto sample = cpu.EndWindow(sched.Now());
-  attack.Stop();
+  world.StartFlood(config);
+  const auto sample = world.MiningWindow(5);
+  world.StopFlood();
 
   EXPECT_EQ(node.PeersBanned(), 0u);
   EXPECT_GT(node.FramesDroppedBadChecksum(), 3000u);
@@ -89,35 +96,17 @@ TEST_F(AttackFixture, BogusBlockFloodConsumesVictimCpuWithoutBans) {
 }
 
 TEST_F(AttackFixture, PingFloodHurtsLessThanBogusBlockFlood) {
-  auto run_flood = [](BmDosConfig::Payload payload) {
-    bsim::Scheduler sched;
-    bsim::Network net(sched);
-    bsim::CpuModel cpu;
-    Node node(sched, net, kTargetIp, NodeConfig{}, &cpu);
-    node.Start();
-    AttackerNode attacker(sched, net, kAttackerIp, NodeConfig{}.chain.magic);
-    Crafter crafter(NodeConfig{}.chain);
-    BmDosConfig config;
-    config.payload = payload;
-    BmDosAttack attack(attacker, {kTargetIp, 8333}, crafter, config);
-    attack.Start();
-    sched.RunUntil(2 * bsim::kSecond);  // warm up
-    cpu.BeginWindow(sched.Now());
-    sched.RunUntil(7 * bsim::kSecond);
-    return cpu.EndWindow(sched.Now()).mining_rate_hps;
-  };
-  const double under_ping = run_flood(BmDosConfig::Payload::kPing);
-  const double under_block = run_flood(BmDosConfig::Payload::kBogusBlock);
+  const double under_ping = MiningUnderFlood(BmDosConfig::Payload::kPing);
+  const double under_block = MiningUnderFlood(BmDosConfig::Payload::kBogusBlock);
   EXPECT_GT(under_ping, under_block);  // Fig. 6's ordering
 }
 
 TEST_F(AttackFixture, InvalidPowBlockFloodGetsBanned) {
   BmDosConfig config;
   config.payload = BmDosConfig::Payload::kInvalidPowBlock;
-  BmDosAttack attack(attacker, {kTargetIp, 8333}, crafter, config);
-  attack.Start();
+  world.StartFlood(config);
   sched.RunUntil(3 * bsim::kSecond);
-  attack.Stop();
+  world.StopFlood();
   EXPECT_GE(node.PeersBanned(), 1u);  // parseable invalid blocks are punished
 }
 
@@ -125,63 +114,45 @@ TEST_F(AttackFixture, InvalidPowBlockFloodGetsBanned) {
 // Serial Sybil (Fig. 8 mechanics)
 
 TEST_F(AttackFixture, SerialSybilBansSuccessionOfIdentifiers) {
-  SerialSybilConfig config;
-  config.max_identifiers = 5;
-  SerialSybilAttack attack(attacker, {kTargetIp, 8333}, config);
-  attack.Start();
-  sched.RunUntil(10 * bsim::kSecond);
-  EXPECT_TRUE(attack.Finished());
-  EXPECT_EQ(attack.IdentifiersBanned(), 5);
+  bsscenario::SybilWorld sybil(SybilOf(5));
+  sybil.Run(10);
+  EXPECT_TRUE(sybil.attack->Finished());
+  EXPECT_EQ(sybil.attack->IdentifiersBanned(), 5);
   // Every identifier is distinct and every one is banned.
+  Node& target = *sybil.target;
+  const bsim::SimTime now = sybil.sched.Now();
   std::set<std::uint16_t> ports;
-  for (const auto& rec : attack.Records()) {
+  for (const auto& rec : sybil.attack->Records()) {
     ports.insert(rec.identifier.port);
-    EXPECT_TRUE(node.Bans().IsBanned(rec.identifier, sched.Now()));
+    EXPECT_TRUE(target.Bans().IsBanned(rec.identifier, now));
   }
   EXPECT_EQ(ports.size(), 5u);
-  EXPECT_EQ(node.Bans().BannedPortsOf(kAttackerIp, sched.Now()), 5u);
+  EXPECT_EQ(target.Bans().BannedPortsOf(kAttackerIp, now), 5u);
 }
 
 TEST_F(AttackFixture, NoDelayTimeToBanNearPaperHundredMs) {
-  SerialSybilConfig config;
-  config.max_identifiers = 5;
-  config.extra_message_delay = 0;
-  SerialSybilAttack attack(attacker, {kTargetIp, 8333}, config);
-  attack.Start();
-  sched.RunUntil(10 * bsim::kSecond);
-  ASSERT_TRUE(attack.Finished());
+  bsscenario::SybilWorld sybil(SybilOf(5));
+  const bsscenario::SybilOutcome out = sybil.Run(10);
+  ASSERT_TRUE(sybil.attack->Finished());
   // 100 duplicate VERSIONs at the 1 ms pipeline interval ≈ 0.1 s (Fig. 8).
-  EXPECT_NEAR(attack.MeanTimeToBan(), 0.1, 0.02);
+  EXPECT_NEAR(out.mean_time_to_ban, 0.1, 0.02);
 }
 
 TEST_F(AttackFixture, OneMsDelayDoublesTimeToBan) {
-  SerialSybilConfig config;
-  config.max_identifiers = 3;
-  config.extra_message_delay = bsim::kMillisecond;
-  SerialSybilAttack attack(attacker, {kTargetIp, 8333}, config);
-  attack.Start();
-  sched.RunUntil(10 * bsim::kSecond);
-  ASSERT_TRUE(attack.Finished());
-  EXPECT_NEAR(attack.MeanTimeToBan(), 0.2, 0.03);  // Fig. 8's 1 ms series
+  bsscenario::SybilWorld sybil(SybilOf(3, bsim::kMillisecond));
+  const bsscenario::SybilOutcome out = sybil.Run(10);
+  ASSERT_TRUE(sybil.attack->Finished());
+  EXPECT_NEAR(out.mean_time_to_ban, 0.2, 0.03);  // Fig. 8's 1 ms series
 }
 
 TEST_F(AttackFixture, SybilLoopIsUselessAgainstV22) {
   // The VERSION rules are gone in 0.22.0: duplicates score nothing, nobody
   // gets banned, and the attack spins on one identifier forever.
-  bsim::Scheduler sched2;
-  bsim::Network net2(sched2);
-  NodeConfig config;
-  config.core_version = bsnet::CoreVersion::kV0_22;
-  Node v22(sched2, net2, kTargetIp, config);
-  v22.Start();
-  AttackerNode attacker2(sched2, net2, kAttackerIp, config.chain.magic);
-  SerialSybilConfig sc;
-  sc.max_identifiers = 3;
-  SerialSybilAttack attack(attacker2, {kTargetIp, 8333}, sc);
-  attack.Start();
-  sched2.RunUntil(5 * bsim::kSecond);
-  EXPECT_EQ(attack.IdentifiersBanned(), 0);
-  EXPECT_EQ(v22.PeersBanned(), 0u);
+  bsscenario::SybilSpec spec = SybilOf(3);
+  spec.version = bsnet::CoreVersion::kV0_22;
+  bsscenario::SybilWorld sybil(spec);
+  EXPECT_EQ(sybil.Run(5).banned, 0);
+  EXPECT_EQ(sybil.target->PeersBanned(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -334,29 +305,13 @@ TEST_F(AttackFixture, IcmpFloodDeliversAtConfiguredRate) {
 
 TEST_F(AttackFixture, IcmpFloodDepressesMiningLessThanBmDosAtSameRate) {
   // §VI-C: at 1e3/s, application-layer PING hurts more than kernel ICMP.
-  auto mining_under = [&](bool bmdos) {
-    bsim::Scheduler s;
-    bsim::Network n(s);
-    bsim::CpuModel c;
-    Node victim(s, n, kTargetIp, NodeConfig{}, &c);
-    victim.Start();
-    AttackerNode a(s, n, kAttackerIp, NodeConfig{}.chain.magic);
-    Crafter cr(NodeConfig{}.chain);
-    BmDosAttack bm(a, {kTargetIp, 8333}, cr, BmDosConfig{});
-    IcmpFloodConfig ic;
-    ic.rate_pkts_per_sec = 1000;
-    IcmpFlooder fl(a, kTargetIp, ic);
-    if (bmdos) {
-      bm.Start();
-    } else {
-      fl.Start();
-    }
-    s.RunUntil(2 * bsim::kSecond);
-    c.BeginWindow(s.Now());
-    s.RunUntil(7 * bsim::kSecond);
-    return c.EndWindow(s.Now()).mining_rate_hps;
-  };
-  EXPECT_LT(mining_under(true), mining_under(false));
+  IcmpFloodConfig ic;
+  ic.rate_pkts_per_sec = 1000;
+  IcmpFlooder icmp(attacker, kTargetIp, ic);
+  icmp.Start();
+  world.RunFor(2);
+  const double under_icmp = world.MiningWindow(5).mining_rate_hps;
+  EXPECT_LT(MiningUnderFlood(BmDosConfig::Payload::kPing), under_icmp);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "attack/crafter.hpp"
 #include "attack/defamation.hpp"
 #include "core/node.hpp"
+#include "scenario/defame_world.hpp"
 
 namespace {
 
@@ -177,46 +178,25 @@ TEST(Countermeasures, GoodScoreDefamationEndToEnd) {
   // Full §VIII story on the wire: under kGoodScore, a post-connection
   // Defamation injection against an outbound peer that has relayed blocks
   // fails to get it banned.
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  NodeConfig target_config;
-  target_config.ban_policy = BanPolicy::kGoodScore;
-  target_config.target_outbound = 1;
-  Node target(sched, net, kTargetIp, target_config);
+  bsscenario::DefameSpec spec;
+  spec.policy = BanPolicy::kGoodScore;
+  bsscenario::DefameWorld world(spec);
+  ASSERT_EQ(world.target->OutboundCount(), 1u);
+  const bsscenario::DefameOutcome out = world.DefamePost();
 
-  NodeConfig peer_config;
-  peer_config.target_outbound = 0;
-  Node innocent(sched, net, kInnocentIp, peer_config);
-  innocent.Start();
-  target.AddKnownAddress({kInnocentIp, 8333});
-  target.Start();
-  sched.RunUntil(5 * bsim::kSecond);
-  ASSERT_EQ(target.OutboundCount(), 1u);
-
-  // The innocent peer mines a block; the target fetches it (good score +1).
-  innocent.MineAndRelay();
-  sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
-  const bsnet::Peer* outbound = nullptr;
-  for (const bsnet::Peer* p : target.Peers()) {
-    if (!p->inbound) outbound = p;
-  }
-  ASSERT_NE(outbound, nullptr);
-  ASSERT_GE(target.Tracker().GoodScore(outbound->id), 1);
-
-  // Defame it.
-  AttackerNode attacker(sched, net, kAttackerIp, target_config.chain.magic);
-  bsattack::PostConnectionDefamation defamation(attacker, outbound->conn->Local(),
-                                                outbound->remote);
-  Crafter crafter(target_config.chain);
-  defamation.Arm({bsproto::EncodeMessage(target_config.chain.magic,
-                                         crafter.SegwitInvalidTx())});
-  innocent.SendToRemoteIp(kTargetIp, bsproto::PingMsg{5});
-  sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
-
-  EXPECT_TRUE(defamation.Injected());
-  EXPECT_FALSE(target.Bans().IsBanned(Endpoint{kInnocentIp, 8333}, sched.Now()));
+  ASSERT_TRUE(out.session_found);
+  EXPECT_TRUE(out.injected);
+  EXPECT_FALSE(out.banned);
+  Node& target = *world.target;
   EXPECT_EQ(target.PeersBanned(), 0u);
-  EXPECT_EQ(target.OutboundCount(), 1u);  // the peer connection survived
+  // The peer connection survived, with the good score (one fetched block)
+  // that exempted it.
+  ASSERT_EQ(target.OutboundCount(), 1u);
+  for (const Peer* p : target.Peers()) {
+    if (!p->inbound) {
+      EXPECT_GE(target.Tracker().GoodScore(p->id), 1);
+    }
+  }
 }
 
 }  // namespace

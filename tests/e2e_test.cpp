@@ -8,8 +8,8 @@
 
 #include "attack/attacker.hpp"
 #include "attack/crafter.hpp"
-#include "attack/sybil.hpp"
 #include "core/node.hpp"
+#include "scenario/sybil_world.hpp"
 
 namespace {
 
@@ -130,26 +130,16 @@ TEST(FullIpDefamation, EstimateMatchesPaperFormula) {
 }
 
 TEST(FullIpDefamation, MeasuredPerIdentifierCostSupportsEstimate) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  NodeConfig config;
-  Node target(sched, net, 0x0a000001, config);
-  target.Start();
-  AttackerNode attacker(sched, net, 0x0a000002, config.chain.magic);
-
-  bsattack::SerialSybilConfig sc;
-  sc.max_identifiers = 20;
-  bsattack::SerialSybilAttack attack(attacker, {0x0a000001, 8333}, sc);
-  attack.Start();
-  sched.RunUntil(sched.Now() + 60 * bsim::kSecond);
-  ASSERT_TRUE(attack.Finished());
+  bsscenario::SybilSpec spec;
+  spec.attack.max_identifiers = 20;
+  bsscenario::SybilWorld world(spec);
+  const bsscenario::SybilOutcome out = world.Run(60);
+  ASSERT_TRUE(world.attack->Finished());
   // Per-identifier cost = measured time-to-ban plus the 0.2 s socket-setup
   // latency; projected to the full 16384-port ephemeral range this lands
   // near the paper's 81.92 minutes.
-  const double per_identifier_sec = attack.MeanTimeToBan() + 0.2;
-  const double projected_min = per_identifier_sec * 16384.0 / 60.0;
-  EXPECT_NEAR(projected_min, 81.92, 17.0);
-  EXPECT_EQ(target.Bans().BannedPortsOf(0x0a000002, sched.Now()), 20u);
+  EXPECT_NEAR(out.FullIpMinutes(), 81.92, 17.0);
+  EXPECT_EQ(world.target->Bans().BannedPortsOf(spec.attacker_ip, world.sched.Now()), 20u);
 }
 
 // ---------------------------------------------------------------------------

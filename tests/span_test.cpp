@@ -11,10 +11,9 @@
 #include <vector>
 
 #include "attack/attacker.hpp"
-#include "attack/crafter.hpp"
-#include "attack/defamation.hpp"
 #include "core/node.hpp"
 #include "obs/span.hpp"
+#include "scenario/defame_world.hpp"
 #include "sim/faults.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -304,39 +303,12 @@ TEST(SpanLineageTest, MisbehaviorAndBanChainToAttackerSend) {
 }
 
 TEST(SpanLineageTest, PostConnectionDefamationChainReachesInjector) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
   SpanTracer tracer;
-
-  NodeConfig tc;
-  tc.span_tracer = &tracer;
-  tc.target_outbound = 1;
-  Node target(sched, net, 0x0a000001, tc);
-  NodeConfig ic;
-  ic.span_tracer = &tracer;
-  ic.target_outbound = 0;
-  Node innocent(sched, net, 0x0a000002, ic);
-  innocent.Start();
-  target.AddKnownAddress({innocent.Ip(), 8333});
-  target.Start();
-  sched.RunUntil(5 * bsim::kSecond);
-
-  bsattack::AttackerNode attacker(sched, net, 0x0a000066, tc.chain.magic);
-  attacker.SetSpanTracer(&tracer);
-  bsattack::Crafter crafter(tc.chain);
-  const bsnet::Peer* outbound = nullptr;
-  for (const bsnet::Peer* p : target.Peers()) {
-    if (!p->inbound) outbound = p;
-  }
-  ASSERT_NE(outbound, nullptr);
-  bsattack::PostConnectionDefamation post(attacker, outbound->conn->Local(),
-                                          outbound->remote);
-  post.SetSpanTracer(&tracer);
-  post.Arm({bsproto::EncodeMessage(tc.chain.magic, crafter.SegwitInvalidTx())});
-  innocent.SendToRemoteIp(target.Ip(), bsproto::PingMsg{1});
-  sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
-  ASSERT_TRUE(post.Injected());
-  ASSERT_GE(target.PeersBanned(), 1u);
+  bsscenario::DefameSpec spec;
+  spec.tracer = &tracer;
+  bsscenario::DefameWorld world(spec);
+  ASSERT_TRUE(world.DefamePost().injected);
+  ASSERT_GE(world.target->PeersBanned(), 1u);
 
   const auto spans = tracer.Log().Snapshot();
   const auto by_span = IndexBySpan(spans);
@@ -346,12 +318,12 @@ TEST(SpanLineageTest, PostConnectionDefamationChainReachesInjector) {
   }
   ASSERT_NE(ban, nullptr);
   // The banned identity is the innocent peer...
-  EXPECT_EQ(static_cast<std::uint32_t>(ban->a), innocent.Ip());
+  EXPECT_EQ(static_cast<std::uint32_t>(ban->a), bsscenario::DefameWorld::kInnocentIp);
   // ...but the causal root is the attacker's inject span, resync-claimed.
   const auto chain = WalkChain(ban, by_span);
   const SpanRecord* root = chain.back();
   EXPECT_EQ(root->kind, SpanKind::kInject);
-  EXPECT_EQ(root->node_ip, attacker.Ip());
+  EXPECT_EQ(root->node_ip, bsscenario::DefameWorld::kAttackerIp);
   bool saw_resync = false;
   for (const SpanRecord* rec : chain) {
     if ((rec->flags & bsobs::kFlagResync) != 0) saw_resync = true;

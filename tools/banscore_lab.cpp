@@ -56,7 +56,6 @@
 
 #include "attack/bmdos.hpp"
 #include "attack/defamation.hpp"
-#include "attack/sybil.hpp"
 #include "attack/traffic.hpp"
 #include "core/node.hpp"
 #include "detect/engine.hpp"
@@ -66,9 +65,12 @@
 #include "fuzz/differential.hpp"
 #include "fuzz/engine.hpp"
 #include "fuzz/harness.hpp"
+#include "scenario/bmdos_world.hpp"
 #include "scenario/chaos_world.hpp"
+#include "scenario/defame_world.hpp"
 #include "scenario/eclipse_world.hpp"
 #include "scenario/partition_world.hpp"
+#include "scenario/sybil_world.hpp"
 #include "store/fsck.hpp"
 #include "store/store.hpp"
 #include "util/json.hpp"
@@ -145,85 +147,58 @@ int RunRules(const Flags& flags) {
 
 int RunBmDos(const Flags& flags) {
   const std::uint64_t seed = SeedOf(flags);
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  bsim::CpuModel cpu;
-  NodeConfig config;
-  config.rng_seed = seed;
-  config.ban_policy = ParsePolicy(flags.Get("policy", "banscore"));
-  Node victim(sched, net, 0x0a000001, config, &cpu);
-  victim.Start();
-  bsattack::AttackerNode attacker(sched, net, 0x0a000002, config.chain.magic);
-  bsattack::Crafter crafter(config.chain);
-
-  bsattack::BmDosConfig bm;
+  bsscenario::BmDosSpec spec;
+  spec.seed = seed;
+  spec.policy = ParsePolicy(flags.Get("policy", "banscore"));
   const std::string payload = flags.Get("payload", "bogus-block");
-  if (payload == "ping") bm.payload = bsattack::BmDosConfig::Payload::kPing;
-  else if (payload == "unknown") bm.payload = bsattack::BmDosConfig::Payload::kUnknownCommand;
-  else if (payload == "invalid-pow") bm.payload = bsattack::BmDosConfig::Payload::kInvalidPowBlock;
-  else bm.payload = bsattack::BmDosConfig::Payload::kBogusBlock;
-  bm.sybil_connections = static_cast<int>(flags.GetNum("connections", 1));
-  bm.rate_msgs_per_sec = flags.GetNum("rate", 1000);
-  const double seconds = flags.GetNum("seconds", 10);
+  if (payload == "ping") spec.flood.payload = bsattack::BmDosConfig::Payload::kPing;
+  else if (payload == "unknown") spec.flood.payload = bsattack::BmDosConfig::Payload::kUnknownCommand;
+  else if (payload == "invalid-pow") spec.flood.payload = bsattack::BmDosConfig::Payload::kInvalidPowBlock;
+  else spec.flood.payload = bsattack::BmDosConfig::Payload::kBogusBlock;
+  spec.flood.sybil_connections = static_cast<int>(flags.GetNum("connections", 1));
+  spec.flood.rate_msgs_per_sec = flags.GetNum("rate", 1000);
+  spec.cpu.emplace();
+  bsscenario::BmDosWorld world(spec);
 
-  cpu.SetActiveConnections(10 + bm.sybil_connections);
-  cpu.BeginWindow(sched.Now());
-  sched.RunUntil(bsim::kSecond);
-  const double baseline = cpu.EndWindow(sched.Now()).mining_rate_hps;
-
-  bsattack::BmDosAttack attack(attacker, {victim.Ip(), 8333}, crafter, bm);
-  attack.Start();
-  sched.RunUntil(sched.Now() + 2 * bsim::kSecond);
-  cpu.BeginWindow(sched.Now());
-  sched.RunUntil(sched.Now() + bsim::FromSeconds(seconds));
-  const auto sample = cpu.EndWindow(sched.Now());
-  attack.Stop();
+  const double baseline = world.MiningWindow(1).mining_rate_hps;
+  world.StartFlood();
+  world.RunFor(2);
+  const bsim::MiningSample sample = world.MiningWindow(flags.GetNum("seconds", 10));
+  world.StopFlood();
 
   std::printf("BM-DoS: payload=%s connections=%d rate=%.0f/s policy=%s seed=%llu\n",
-              payload.c_str(), bm.sybil_connections, attack.EffectiveRate(),
-              ToString(config.ban_policy), static_cast<unsigned long long>(seed));
+              payload.c_str(), spec.flood.sybil_connections, world.Flood().EffectiveRate(),
+              ToString(spec.policy), static_cast<unsigned long long>(seed));
   std::printf("  messages sent:        %llu\n",
-              static_cast<unsigned long long>(attack.MessagesSent()));
+              static_cast<unsigned long long>(world.Flood().MessagesSent()));
   std::printf("  mining: %.3g -> %.3g h/s (%.0f%% drop), CPU busy %.1f%%\n", baseline,
               sample.mining_rate_hps,
               100.0 * (1.0 - sample.mining_rate_hps / baseline),
               100.0 * sample.busy_fraction);
   std::printf("  bad-checksum frames dropped: %llu, peers banned: %llu\n",
-              static_cast<unsigned long long>(victim.FramesDroppedBadChecksum()),
-              static_cast<unsigned long long>(victim.PeersBanned()));
+              static_cast<unsigned long long>(world.victim->FramesDroppedBadChecksum()),
+              static_cast<unsigned long long>(world.victim->PeersBanned()));
   return 0;
 }
 
 int RunSybil(const Flags& flags) {
   const std::uint64_t seed = SeedOf(flags);
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  NodeConfig config;
-  config.rng_seed = seed;
-  config.core_version = ParseVersion(flags.Get("version", "0.20"));
-  config.ban_threshold = static_cast<int>(flags.GetNum("threshold", 100));
-  Node target(sched, net, 0x0a000001, config);
-  target.Start();
-  bsattack::AttackerNode attacker(sched, net, 0x0a000002, config.chain.magic);
-
-  bsattack::SerialSybilConfig sc;
-  sc.max_identifiers = static_cast<int>(flags.GetNum("identifiers", 10));
-  sc.extra_message_delay =
+  bsscenario::SybilSpec spec;
+  spec.seed = seed;
+  spec.version = ParseVersion(flags.Get("version", "0.20"));
+  spec.threshold = static_cast<int>(flags.GetNum("threshold", 100));
+  spec.attack.max_identifiers = static_cast<int>(flags.GetNum("identifiers", 10));
+  spec.attack.extra_message_delay =
       static_cast<bsim::SimTime>(flags.GetNum("delay-ms", 0) * bsim::kMillisecond);
-  bsattack::SerialSybilAttack attack(attacker, {target.Ip(), 8333}, sc);
-  attack.Start();
-  sched.RunUntil(bsim::FromSeconds(sc.max_identifiers * 3.0 + 10));
+  bsscenario::SybilWorld world(spec);
+  const bsscenario::SybilOutcome out = world.Run(spec.attack.max_identifiers * 3.0 + 10);
 
   std::printf("serial Sybil (duplicate VERSION) vs Core %s, threshold %d, seed %llu\n",
-              ToString(config.core_version), config.ban_threshold,
-              static_cast<unsigned long long>(seed));
-  std::printf("  identifiers banned: %d/%d\n", attack.IdentifiersBanned(),
-              sc.max_identifiers);
-  if (attack.IdentifiersBanned() > 0) {
-    std::printf("  mean time-to-ban:   %.4f s\n", attack.MeanTimeToBan());
-    const double per_id = attack.MeanTimeToBan() + 0.2;
-    std::printf("  full-IP projection: %.2f min for 16384 ports\n",
-                16384.0 * per_id / 60.0);
+              ToString(spec.version), spec.threshold, static_cast<unsigned long long>(seed));
+  std::printf("  identifiers banned: %d/%d\n", out.banned, spec.attack.max_identifiers);
+  if (out.banned > 0) {
+    std::printf("  mean time-to-ban:   %.4f s\n", out.mean_time_to_ban);
+    std::printf("  full-IP projection: %.2f min for 16384 ports\n", out.FullIpMinutes());
   } else {
     std::printf("  the VERSION rules are absent in this rule set: the vector is dead\n");
   }
@@ -232,64 +207,28 @@ int RunSybil(const Flags& flags) {
 
 int RunDefame(const Flags& flags) {
   const std::uint64_t seed = SeedOf(flags);
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  NodeConfig target_config;
-  target_config.rng_seed = seed;
-  target_config.ban_policy = ParsePolicy(flags.Get("policy", "banscore"));
-  target_config.target_outbound = 1;
-  Node target(sched, net, 0x0a000001, target_config);
-  NodeConfig pc;
-  pc.rng_seed = seed;
-  pc.target_outbound = 0;
-  Node innocent(sched, net, 0x0a000002, pc);
-  innocent.Start();
-  target.AddKnownAddress({innocent.Ip(), 8333});
-  target.Start();
-  sched.RunUntil(5 * bsim::kSecond);
+  bsscenario::DefameSpec spec;
+  spec.seed = seed;
+  spec.policy = ParsePolicy(flags.Get("policy", "banscore"));
+  bsscenario::DefameWorld world(spec);
 
-  bsattack::AttackerNode attacker(sched, net, 0x0a000066, target_config.chain.magic);
-  bsattack::Crafter crafter(target_config.chain);
-  const std::string mode = flags.Get("mode", "post");
-
-  if (mode == "pre") {
-    const bsproto::Endpoint victim_id{innocent.Ip(), 55555};
-    bsattack::PreConnectionDefamation pre(
-        attacker, {target.Ip(), 8333}, victim_id,
-        bsattack::PreConnectionDefamation::InstantBanFrames(target_config.chain.magic));
-    pre.Run();
-    sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
+  if (flags.Get("mode", "post") == "pre") {
+    const bsscenario::DefameOutcome out = world.DefamePre();
     std::printf("pre-connection Defamation of %s under %s (seed %llu): banned=%s\n",
-                victim_id.ToString().c_str(), ToString(target_config.ban_policy),
-                static_cast<unsigned long long>(seed),
-                target.Bans().IsBanned(victim_id, sched.Now()) ? "YES" : "no");
+                out.identifier.ToString().c_str(), ToString(spec.policy),
+                static_cast<unsigned long long>(seed), out.banned ? "YES" : "no");
     return 0;
   }
-
-  // Post-connection: earn the innocent peer a good score first, so the
-  // goodscore policy has something to exempt.
-  innocent.MineAndRelay();
-  sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
-  const Peer* outbound = nullptr;
-  for (const Peer* p : target.Peers()) {
-    if (!p->inbound) outbound = p;
-  }
-  if (outbound == nullptr) {
+  const bsscenario::DefameOutcome out = world.DefamePost();
+  if (!out.session_found) {
     std::printf("setup failed: no outbound session\n");
     return 1;
   }
-  bsattack::PostConnectionDefamation post(attacker, outbound->conn->Local(),
-                                          outbound->remote);
-  post.Arm({bsproto::EncodeMessage(target_config.chain.magic,
-                                   crafter.SegwitInvalidTx())});
-  innocent.SendToRemoteIp(target.Ip(), bsproto::PingMsg{1});
-  sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
   std::printf("post-connection Defamation of %s under %s (seed %llu): "
               "injected=%s banned=%s\n",
-              outbound->remote.ToString().c_str(), ToString(target_config.ban_policy),
-              static_cast<unsigned long long>(seed),
-              post.Injected() ? "yes" : "no",
-              target.Bans().IsBanned({innocent.Ip(), 8333}, sched.Now()) ? "YES" : "no");
+              out.identifier.ToString().c_str(), ToString(spec.policy),
+              static_cast<unsigned long long>(seed), out.injected ? "yes" : "no",
+              out.banned ? "YES" : "no");
   return 0;
 }
 
@@ -384,29 +323,20 @@ int RunDumpMetrics(const Flags& flags) {
   // registry with the scheduler, then print the scrape-ready snapshot.
   const std::uint64_t seed = SeedOf(flags);
   bsobs::MetricsRegistry registry;
-  bsim::Scheduler sched;
-  sched.AttachMetrics(registry);
-  bsim::Network net(sched);
-  net.AttachMetrics(registry);
-  NodeConfig config;
-  config.rng_seed = seed;
-  config.metrics = &registry;
-  config.ban_policy = ParsePolicy(flags.Get("policy", "banscore"));
-  Node victim(sched, net, 0x0a000001, config);
-  victim.Start();
-  bsattack::AttackerNode attacker(sched, net, 0x0a000002, config.chain.magic);
-  bsattack::Crafter crafter(config.chain);
-
-  bsattack::BmDosConfig bm;
+  bsscenario::BmDosSpec spec;
+  spec.seed = seed;
+  spec.policy = ParsePolicy(flags.Get("policy", "banscore"));
   const std::string payload = flags.Get("payload", "bogus-block");
-  if (payload == "ping") bm.payload = bsattack::BmDosConfig::Payload::kPing;
-  else if (payload == "unknown") bm.payload = bsattack::BmDosConfig::Payload::kUnknownCommand;
-  else if (payload == "invalid-pow") bm.payload = bsattack::BmDosConfig::Payload::kInvalidPowBlock;
-  else bm.payload = bsattack::BmDosConfig::Payload::kBogusBlock;
-  bsattack::BmDosAttack attack(attacker, {victim.Ip(), 8333}, crafter, bm);
-  attack.Start();
-  sched.RunUntil(bsim::FromSeconds(flags.GetNum("seconds", 5)));
-  attack.Stop();
+  if (payload == "ping") spec.flood.payload = bsattack::BmDosConfig::Payload::kPing;
+  else if (payload == "unknown") spec.flood.payload = bsattack::BmDosConfig::Payload::kUnknownCommand;
+  else if (payload == "invalid-pow") spec.flood.payload = bsattack::BmDosConfig::Payload::kInvalidPowBlock;
+  else spec.flood.payload = bsattack::BmDosConfig::Payload::kBogusBlock;
+  spec.metrics = &registry;
+  spec.net_metrics = true;
+  bsscenario::BmDosWorld world(spec);
+  world.StartFlood();
+  world.RunFor(flags.GetNum("seconds", 5));
+  world.StopFlood();
 
   const std::string format = flags.Get("format", "prom");
   if (format == "json") {
@@ -991,63 +921,33 @@ int RunTimeline(const Flags& flags) {
   const std::string scenario = flags.Get("scenario", "defame-post");
   const std::uint32_t peer_filter = ParseIp(flags.Get("peer", ""));
   const std::uint64_t seed = SeedOf(flags);
-  constexpr std::uint32_t kTargetIp = 0x0a000001;
-  constexpr std::uint32_t kInnocentIp = 0x0a000002;
-  constexpr std::uint32_t kAttackerIp = 0x0a000066;
-
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
   bsobs::SpanTracer tracer;
-
-  NodeConfig tc;
-  tc.rng_seed = seed;
-  tc.span_tracer = &tracer;
-  tc.target_outbound = scenario == "defame-post" ? 1 : 0;
-  Node target(sched, net, kTargetIp, tc);
-  NodeConfig ic;
-  ic.rng_seed = seed;
-  ic.span_tracer = &tracer;
-  ic.target_outbound = 0;
-  Node innocent(sched, net, kInnocentIp, ic);
-  innocent.Start();
-  if (scenario == "defame-post") target.AddKnownAddress({kInnocentIp, 8333});
-  target.Start();
-  sched.RunUntil(5 * bsim::kSecond);
-
-  bsattack::AttackerNode attacker(sched, net, kAttackerIp, tc.chain.magic);
-  attacker.SetSpanTracer(&tracer);
-  bsattack::Crafter crafter(tc.chain);
-
-  if (scenario == "defame-pre") {
-    bsattack::PreConnectionDefamation pre(
-        attacker, {kTargetIp, 8333}, {kInnocentIp, 55555},
-        bsattack::PreConnectionDefamation::InstantBanFrames(tc.chain.magic));
-    pre.SetSpanTracer(&tracer);
-    pre.Run();
-    sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
-  } else if (scenario == "defame-post") {
-    innocent.MineAndRelay();
-    sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
-    const Peer* outbound = nullptr;
-    for (const Peer* p : target.Peers()) {
-      if (!p->inbound) outbound = p;
-    }
-    if (outbound == nullptr) {
+  std::unique_ptr<bsscenario::DefameWorld> defame;
+  std::unique_ptr<bsscenario::SybilWorld> sybil;
+  const Node* target = nullptr;
+  if (scenario == "defame-pre" || scenario == "defame-post") {
+    bsscenario::DefameSpec spec;
+    spec.seed = seed;
+    spec.tracer = &tracer;
+    spec.outbound = scenario == "defame-post" ? 1 : 0;
+    defame = std::make_unique<bsscenario::DefameWorld>(spec);
+    target = defame->target.get();
+    if (scenario == "defame-pre") {
+      defame->DefamePre();
+    } else if (!defame->DefamePost().session_found) {
       std::fprintf(stderr, "timeline: setup failed, no outbound session\n");
       return 2;
     }
-    bsattack::PostConnectionDefamation post(attacker, outbound->conn->Local(),
-                                            outbound->remote);
-    post.SetSpanTracer(&tracer);
-    post.Arm({bsproto::EncodeMessage(tc.chain.magic, crafter.SegwitInvalidTx())});
-    innocent.SendToRemoteIp(kTargetIp, bsproto::PingMsg{1});
-    sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
   } else if (scenario == "sybil") {
-    bsattack::SerialSybilConfig sc;
-    sc.max_identifiers = 2;
-    bsattack::SerialSybilAttack attack(attacker, {kTargetIp, 8333}, sc);
-    attack.Start();
-    sched.RunUntil(sched.Now() + 20 * bsim::kSecond);
+    bsscenario::SybilSpec spec;
+    spec.seed = seed;
+    spec.tracer = &tracer;
+    spec.attacker_ip = bsscenario::DefameWorld::kAttackerIp;
+    spec.start_seconds = 5;
+    spec.attack.max_identifiers = 2;
+    sybil = std::make_unique<bsscenario::SybilWorld>(spec);
+    target = sybil->target.get();
+    sybil->Run(20);
   } else {
     std::fprintf(stderr, "timeline: unknown --scenario '%s'\n", scenario.c_str());
     return 2;
@@ -1069,11 +969,11 @@ int RunTimeline(const Flags& flags) {
     }
     lines.push_back({rec.time, 0, SpanLine(rec)});
   }
-  for (const bsobs::TraceEvent& ev : target.Trace().Snapshot()) {
+  for (const bsobs::TraceEvent& ev : target->Trace().Snapshot()) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "%12.6f  %-15s event:%-21s peer=%llu a=%lld b=%lld",
-                  bsim::ToSeconds(ev.time), IpToString(kTargetIp).c_str(),
+                  bsim::ToSeconds(ev.time), IpToString(target->Ip()).c_str(),
                   bsobs::ToString(ev.type),
                   static_cast<unsigned long long>(ev.peer_id),
                   static_cast<long long>(ev.a), static_cast<long long>(ev.b));
