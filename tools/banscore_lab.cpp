@@ -33,7 +33,9 @@
 //                         within 1 block of the miner by the end)
 //
 // Every scenario accepts --seed N (default 42, the NodeConfig default) and
-// echoes it in its output, so a sweep driver can re-run any single seed.
+// echoes it in its output, so a sweep driver can re-run any single seed. A
+// flag without a value, or a value outside the flag's listed set, exits 2
+// before anything runs.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -81,14 +83,20 @@ using namespace bsnet;  // NOLINT
 namespace {
 
 // ---------------------------------------------------------------------------
-// Tiny flag parser: --key value pairs after the scenario name.
+// Tiny flag parser: --key value pairs after the scenario name. A malformed
+// command line (a bare word, a flag without a value, a value outside its
+// flag's set) exits 2 before anything runs.
 
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
+    for (int i = first; i < argc; i += 2) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
         std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
+        std::exit(2);
+      }
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "%s needs a value\n", argv[i]);
         std::exit(2);
       }
       values_[argv[i] + 2] = argv[i + 1];
@@ -103,22 +111,56 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
+  /// --key's value mapped through `choices`; any other value exits 2.
+  template <typename T>
+  T Choose(const std::string& key, const std::string& fallback,
+           std::initializer_list<std::pair<const char*, T>> choices) const {
+    const std::string value = Get(key, fallback);
+    std::string accepted;
+    for (const auto& [name, result] : choices) {
+      if (value == name) return result;
+      accepted += (accepted.empty() ? "" : "|") + std::string(name);
+    }
+    std::fprintf(stderr, "--%s: unknown value '%s' (want %s)\n", key.c_str(),
+                 value.c_str(), accepted.c_str());
+    std::exit(2);
+  }
 
  private:
   std::map<std::string, std::string> values_;
 };
 
-CoreVersion ParseVersion(const std::string& s) {
-  if (s == "0.21") return CoreVersion::kV0_21;
-  if (s == "0.22") return CoreVersion::kV0_22;
-  return CoreVersion::kV0_20;
+CoreVersion ParseVersion(const Flags& flags) {
+  return flags.Choose<CoreVersion>("version", "0.20", {{"0.20", CoreVersion::kV0_20},
+                                                       {"0.21", CoreVersion::kV0_21},
+                                                       {"0.22", CoreVersion::kV0_22}});
 }
 
-BanPolicy ParsePolicy(const std::string& s) {
-  if (s == "infinity") return BanPolicy::kThresholdInfinity;
-  if (s == "disabled") return BanPolicy::kDisabled;
-  if (s == "goodscore") return BanPolicy::kGoodScore;
-  return BanPolicy::kBanScore;
+BanPolicy ParsePolicy(const Flags& flags) {
+  return flags.Choose<BanPolicy>("policy", "banscore",
+                                 {{"banscore", BanPolicy::kBanScore},
+                                  {"infinity", BanPolicy::kThresholdInfinity},
+                                  {"disabled", BanPolicy::kDisabled},
+                                  {"goodscore", BanPolicy::kGoodScore}});
+}
+
+bsattack::BmDosConfig::Payload ParsePayload(const Flags& flags) {
+  using Payload = bsattack::BmDosConfig::Payload;
+  return flags.Choose<Payload>("payload", "bogus-block",
+                               {{"bogus-block", Payload::kBogusBlock},
+                                {"ping", Payload::kPing},
+                                {"unknown", Payload::kUnknownCommand},
+                                {"invalid-pow", Payload::kInvalidPowBlock}});
+}
+
+/// --format: true for json, false for the scenario's text format.
+bool ParseJsonFormat(const Flags& flags, const char* text = "table") {
+  return flags.Choose<bool>("format", text, {{text, false}, {"json", true}});
+}
+
+/// --defenses none|all of the eclipse and partition worlds: true = hardened.
+bool ParseHardened(const Flags& flags) {
+  return flags.Choose<bool>("defenses", "all", {{"none", false}, {"all", true}});
 }
 
 /// --seed for every scenario. 42 is the NodeConfig default, so omitting the
@@ -133,7 +175,7 @@ std::uint64_t SeedOf(const Flags& flags) {
 // Scenarios
 
 int RunRules(const Flags& flags) {
-  const CoreVersion version = ParseVersion(flags.Get("version", "0.20"));
+  const CoreVersion version = ParseVersion(flags);
   std::printf("ban-score rules of Bitcoin Core %s\n\n", ToString(version));
   std::printf("%-12s | %-44s | %5s | %-13s | %s\n", "Message", "Misbehavior", "score",
               "Object of ban", "Type");
@@ -149,12 +191,8 @@ int RunBmDos(const Flags& flags) {
   const std::uint64_t seed = SeedOf(flags);
   bsscenario::BmDosSpec spec;
   spec.seed = seed;
-  spec.policy = ParsePolicy(flags.Get("policy", "banscore"));
-  const std::string payload = flags.Get("payload", "bogus-block");
-  if (payload == "ping") spec.flood.payload = bsattack::BmDosConfig::Payload::kPing;
-  else if (payload == "unknown") spec.flood.payload = bsattack::BmDosConfig::Payload::kUnknownCommand;
-  else if (payload == "invalid-pow") spec.flood.payload = bsattack::BmDosConfig::Payload::kInvalidPowBlock;
-  else spec.flood.payload = bsattack::BmDosConfig::Payload::kBogusBlock;
+  spec.policy = ParsePolicy(flags);
+  spec.flood.payload = ParsePayload(flags);
   spec.flood.sybil_connections = static_cast<int>(flags.GetNum("connections", 1));
   spec.flood.rate_msgs_per_sec = flags.GetNum("rate", 1000);
   spec.cpu.emplace();
@@ -167,7 +205,8 @@ int RunBmDos(const Flags& flags) {
   world.StopFlood();
 
   std::printf("BM-DoS: payload=%s connections=%d rate=%.0f/s policy=%s seed=%llu\n",
-              payload.c_str(), spec.flood.sybil_connections, world.Flood().EffectiveRate(),
+              flags.Get("payload", "bogus-block").c_str(), spec.flood.sybil_connections,
+              world.Flood().EffectiveRate(),
               ToString(spec.policy), static_cast<unsigned long long>(seed));
   std::printf("  messages sent:        %llu\n",
               static_cast<unsigned long long>(world.Flood().MessagesSent()));
@@ -185,7 +224,7 @@ int RunSybil(const Flags& flags) {
   const std::uint64_t seed = SeedOf(flags);
   bsscenario::SybilSpec spec;
   spec.seed = seed;
-  spec.version = ParseVersion(flags.Get("version", "0.20"));
+  spec.version = ParseVersion(flags);
   spec.threshold = static_cast<int>(flags.GetNum("threshold", 100));
   spec.attack.max_identifiers = static_cast<int>(flags.GetNum("identifiers", 10));
   spec.attack.extra_message_delay =
@@ -209,10 +248,11 @@ int RunDefame(const Flags& flags) {
   const std::uint64_t seed = SeedOf(flags);
   bsscenario::DefameSpec spec;
   spec.seed = seed;
-  spec.policy = ParsePolicy(flags.Get("policy", "banscore"));
+  spec.policy = ParsePolicy(flags);
+  const bool pre = flags.Choose<bool>("mode", "post", {{"pre", true}, {"post", false}});
   bsscenario::DefameWorld world(spec);
 
-  if (flags.Get("mode", "post") == "pre") {
+  if (pre) {
     const bsscenario::DefameOutcome out = world.DefamePre();
     std::printf("pre-connection Defamation of %s under %s (seed %llu): banned=%s\n",
                 out.identifier.ToString().c_str(), ToString(spec.policy),
@@ -234,6 +274,7 @@ int RunDefame(const Flags& flags) {
 
 int RunDetect(const Flags& flags) {
   const std::uint64_t seed = SeedOf(flags);
+  const bool bmdos = flags.Choose<bool>("attack", "bmdos", {{"bmdos", true}, {"defame", false}});
   bsim::Scheduler sched;
   bsim::Network net(sched);
   NodeConfig config;
@@ -274,12 +315,11 @@ int RunDetect(const Flags& flags) {
   std::printf("tau_n=[%.0f, %.0f]  tau_c=[0, %.2f]  tau_lambda=%.4f\n", p.tau_n_low,
               p.tau_n_high, p.tau_c_high, p.tau_lambda);
 
-  const std::string attack = flags.Get("attack", "bmdos");
   bsattack::AttackerNode attacker(sched, net, 0x0a000066, config.chain.magic);
   bsattack::Crafter crafter(config.chain);
   std::unique_ptr<bsattack::BmDosAttack> flood;
   std::vector<std::unique_ptr<bsattack::PostConnectionDefamation>> defamations;
-  if (attack == "bmdos") {
+  if (bmdos) {
     bsattack::BmDosConfig bm;
     bm.payload = bsattack::BmDosConfig::Payload::kPing;
     bm.rate_msgs_per_sec = 250;
@@ -307,7 +347,8 @@ int RunDetect(const Flags& flags) {
   }
 
   const auto result = engine.Detect(monitor.Window(sched.Now(), window));
-  std::printf("under %s: n=%.0f c=%.2f rho=%.4f -> %s%s%s\n", attack.c_str(), result.n,
+  std::printf("under %s: n=%.0f c=%.2f rho=%.4f -> %s%s%s\n", bmdos ? "bmdos" : "defame",
+              result.n,
               result.c, result.rho, result.anomalous ? "ANOMALOUS (" : "normal",
               result.anomalous
                   ? (result.bmdos_suspected ? "bm-dos " : "")
@@ -325,12 +366,9 @@ int RunDumpMetrics(const Flags& flags) {
   bsobs::MetricsRegistry registry;
   bsscenario::BmDosSpec spec;
   spec.seed = seed;
-  spec.policy = ParsePolicy(flags.Get("policy", "banscore"));
-  const std::string payload = flags.Get("payload", "bogus-block");
-  if (payload == "ping") spec.flood.payload = bsattack::BmDosConfig::Payload::kPing;
-  else if (payload == "unknown") spec.flood.payload = bsattack::BmDosConfig::Payload::kUnknownCommand;
-  else if (payload == "invalid-pow") spec.flood.payload = bsattack::BmDosConfig::Payload::kInvalidPowBlock;
-  else spec.flood.payload = bsattack::BmDosConfig::Payload::kBogusBlock;
+  spec.policy = ParsePolicy(flags);
+  spec.flood.payload = ParsePayload(flags);
+  const bool json = ParseJsonFormat(flags, "prom");
   spec.metrics = &registry;
   spec.net_metrics = true;
   bsscenario::BmDosWorld world(spec);
@@ -338,8 +376,7 @@ int RunDumpMetrics(const Flags& flags) {
   world.RunFor(flags.GetNum("seconds", 5));
   world.StopFlood();
 
-  const std::string format = flags.Get("format", "prom");
-  if (format == "json") {
+  if (json) {
     // The snapshot itself must stay parseable, so the seed echo goes to
     // stderr rather than into the JSON document.
     std::fprintf(stderr, "# seed %llu\n", static_cast<unsigned long long>(seed));
@@ -474,13 +511,17 @@ OverloadResult RunOverloadOnce(bool attack, bool eviction, bool ratelimit,
 
 int RunOverload(const Flags& flags) {
   const std::string defenses = flags.Get("defenses", "all");
-  const bool eviction = defenses == "eviction" || defenses == "all";
-  const bool ratelimit = defenses == "ratelimit" || defenses == "all";
-  const bool priority = defenses == "priority" || defenses == "all";
+  // Bit 0: eviction, bit 1: rate limit, bit 2: priority.
+  const int on = flags.Choose<int>("defenses", "all",
+                                   {{"none", 0}, {"eviction", 1}, {"ratelimit", 2},
+                                    {"priority", 4}, {"all", 7}});
+  const bool eviction = (on & 1) != 0;
+  const bool ratelimit = (on & 2) != 0;
+  const bool priority = (on & 4) != 0;
   const int procs = static_cast<int>(flags.GetNum("procs", 4));
   const int windows = static_cast<int>(flags.GetNum("windows", 15));
   const double min_ratio = flags.GetNum("min-ratio", 0.0);
-  const bool json = flags.Get("format", "table") == "json";
+  const bool json = ParseJsonFormat(flags);
   const std::uint64_t seed = SeedOf(flags);
 
   const OverloadResult base =
@@ -531,11 +572,10 @@ int RunOverload(const Flags& flags) {
 // pair).
 
 int RunEclipse(const Flags& flags) {
-  const std::string defenses = flags.Get("defenses", "all");
-  const bool hardened = defenses != "none";
+  const bool hardened = ParseHardened(flags);
   const double seconds = flags.GetNum("seconds", 90);
   const double heal_fraction = flags.GetNum("heal-fraction", 0.5);
-  const bool json = flags.Get("format", "table") == "json";
+  const bool json = ParseJsonFormat(flags);
   const std::uint64_t seed = SeedOf(flags);
   if (seconds < 60) {
     std::fprintf(stderr, "eclipse: --seconds must be >= 60\n");
@@ -612,10 +652,9 @@ int RunEclipse(const Flags& flags) {
 // to pass it (check.sh uses exactly that pair).
 
 int RunPartition(const Flags& flags) {
-  const std::string defenses = flags.Get("defenses", "all");
-  const bool hardened = defenses != "none";
+  const bool hardened = ParseHardened(flags);
   const double seconds = flags.GetNum("seconds", 90);
-  const bool json = flags.Get("format", "table") == "json";
+  const bool json = ParseJsonFormat(flags);
   const std::uint64_t seed = SeedOf(flags);
   if (seconds < 60) {
     std::fprintf(stderr, "partition: --seconds must be >= 60\n");
@@ -814,8 +853,8 @@ int RunStoreFsck(const Flags& flags) {
     std::fprintf(stderr, "fsck: --dir is required\n");
     return 2;
   }
-  const bool repair = flags.Get("repair", "no") == "yes";
-  const bool json = flags.Get("format", "table") == "json";
+  const bool repair = flags.Choose<bool>("repair", "no", {{"no", false}, {"yes", true}});
+  const bool json = ParseJsonFormat(flags);
   const std::string demo = flags.Get("demo", "");
   bsstore::StoreFs& fs = bsstore::RealFs::Instance();
 
@@ -1192,7 +1231,7 @@ int RunBenchDiff(const Flags& flags) {
 
 int RunFuzz(const Flags& flags) {
   const std::string harness = flags.Get("harness", "all");
-  const std::string format = flags.Get("format", "table");
+  const bool json = ParseJsonFormat(flags);
   const std::string corpus = flags.Get("corpus", "fuzz/corpus");
   const std::string artifacts = flags.Get("artifacts", "build/fuzz-artifacts");
   const auto seeds = static_cast<std::size_t>(flags.GetNum("seeds", 8));
@@ -1283,7 +1322,7 @@ int RunFuzz(const Flags& flags) {
   }
   const bool ok = total_failures == 0 && (!run_diff || diff.ok);
 
-  if (format == "json") {
+  if (json) {
     std::string out = "{\"campaigns\":[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const CampaignRow& row = rows[i];
@@ -1460,6 +1499,7 @@ bool TestbedAnyHonestBan(const std::vector<TestbedMember>& members) {
 }
 
 int RunTestbed(const Flags& flags) {
+  const bool json = ParseJsonFormat(flags);
   const int n = std::max(2, static_cast<int>(flags.GetNum("nodes", 3)));
   const auto seed = static_cast<std::uint64_t>(flags.GetNum("seed", 42));
   const long lifetime_sec = static_cast<long>(flags.GetNum("lifetime", 120));
@@ -1603,7 +1643,7 @@ int RunTestbed(const Flags& flags) {
     }
   }
 
-  if (flags.Get("format", "table") == "json") {
+  if (json) {
     std::printf(
         "{\"schema\":\"banscore-lab-testbed\",\"seed\":%llu,\"nodes\":%d,"
         "\"pass\":%s,\"failure\":\"%s\"}\n",
