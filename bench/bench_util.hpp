@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
 
@@ -148,48 +149,32 @@ class JsonReport {
     has_seed_ = true;
   }
 
-  void Add(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.10g", value);
-    fields_.emplace_back(key, buf);
-  }
-  void Add(const std::string& key, std::uint64_t value) {
-    fields_.emplace_back(key, std::to_string(value));
-  }
-  void Add(const std::string& key, int value) {
-    fields_.emplace_back(key, std::to_string(value));
-  }
-  void Add(const std::string& key, const std::string& value) {
-    fields_.emplace_back(key, "\"" + bsutil::JsonEscape(value) + "\"");
-  }
+  void Add(const std::string& key, double value) { results_.Add(key, value); }
+  void Add(const std::string& key, std::uint64_t value) { results_.Add(key, value); }
+  void Add(const std::string& key, int value) { results_.Add(key, value); }
+  void Add(const std::string& key, const std::string& value) { results_.Add(key, value); }
   /// `raw` must already be valid JSON (object/array/number).
-  void AddRaw(const std::string& key, const std::string& raw) {
-    fields_.emplace_back(key, raw);
-  }
+  void AddRaw(const std::string& key, const std::string& raw) { results_.AddRaw(key, raw); }
   void Add(const std::string& key, const CallTiming& t) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "{\"min_ns\":%.10g,\"p50_ns\":%.10g,\"p90_ns\":%.10g}",
-                  t.min_ns, t.p50_ns, t.p90_ns);
-    fields_.emplace_back(key, buf);
+    results_.AddRaw(key, bsutil::JsonObject()
+                             .Add("min_ns", t.min_ns)
+                             .Add("p50_ns", t.p50_ns)
+                             .Add("p90_ns", t.p90_ns)
+                             .Render());
   }
 
   void AttachRegistry(const bsobs::MetricsRegistry& registry) { registry_ = &registry; }
 
   /// Render the full report object.
   std::string Render() const {
-    std::string out = "{\"bench\":\"" + bsutil::JsonEscape(bench_name_) + "\"";
-    out += ",\"schema\":\"" + std::string(kReportSchema) + "\"";
-    out += ",\"schema_version\":" + std::to_string(kReportSchemaVersion);
-    if (has_seed_) out += ",\"seed\":" + std::to_string(seed_);
-    out += ",\"results\":{";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "\"" + bsutil::JsonEscape(fields_[i].first) + "\":" + fields_[i].second;
-    }
-    out += "}";
-    if (registry_ != nullptr) out += ",\"metrics\":" + registry_->RenderJson();
-    out += "}\n";
-    return out;
+    bsutil::JsonObject doc;
+    doc.Add("bench", bench_name_)
+        .Add("schema", kReportSchema)
+        .Add("schema_version", kReportSchemaVersion);
+    if (has_seed_) doc.Add("seed", seed_);
+    doc.AddRaw("results", results_.Render());
+    if (registry_ != nullptr) doc.AddRaw("metrics", registry_->RenderJson());
+    return doc.Render() + "\n";
   }
 
   /// Write the report to `path` ("" = no-op success; "-" = stdout). Returns
@@ -217,7 +202,7 @@ class JsonReport {
   std::string bench_name_;
   std::uint64_t seed_ = 0;
   bool has_seed_ = false;
-  std::vector<std::pair<std::string, std::string>> fields_;
+  bsutil::JsonObject results_;
   const bsobs::MetricsRegistry* registry_ = nullptr;
 };
 

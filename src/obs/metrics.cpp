@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "util/log.hpp"
+#include "util/json.hpp"
 
 namespace bsobs {
 

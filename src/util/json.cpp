@@ -1,9 +1,64 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace bsutil {
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned char>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+        break;
+    }
+  }
+  return out;
+}
+
+std::string JsonArray(const std::vector<std::string>& elements) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    if (i > 0) out += ",";
+    out += elements[i];
+  }
+  return out + "]";
+}
+
+JsonObject& JsonObject::Add(const std::string& key, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.10g", value);
+  return AddRaw(key, buf);
+}
+
+JsonObject& JsonObject::Add(const std::string& key, bool value) {
+  return AddRaw(key, value ? "true" : "false");
+}
+
+JsonObject& JsonObject::Add(const std::string& key, const std::string& value) {
+  return AddRaw(key, "\"" + JsonEscape(value) + "\"");
+}
+
+JsonObject& JsonObject::AddRaw(const std::string& key, const std::string& raw) {
+  if (body_.size() > 1) body_ += ",";
+  body_ += "\"" + JsonEscape(key) + "\":" + raw;
+  return *this;
+}
+
 namespace {
 
 constexpr int kMaxDepth = 64;

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/json.hpp"
+
 namespace bsutil {
 
 namespace {
@@ -64,30 +66,6 @@ void InitLogFromEnv() {
     if (v == "json") SetLogFormat(LogFormat::kJson);
     else if (v == "text") SetLogFormat(LogFormat::kText);
   }
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-  return out;
 }
 
 void LogLine(LogLevel level, const std::string& category, const std::string& msg) {

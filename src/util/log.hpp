@@ -34,11 +34,6 @@ void InitLogFromEnv();
 /// Emit one log line (category and message) if `level` passes the threshold.
 void LogLine(LogLevel level, const std::string& category, const std::string& msg);
 
-/// Escape a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters). Shared by the JSON log sink and the
-/// bsobs JSON exporters.
-std::string JsonEscape(const std::string& s);
-
 namespace detail {
 template <typename... Args>
 std::string Concat(Args&&... args) {

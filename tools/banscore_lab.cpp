@@ -532,17 +532,21 @@ int RunOverload(const Flags& flags) {
       base.mining_hps > 0.0 ? hit.mining_hps / base.mining_hps : 0.0;
 
   if (json) {
-    std::printf(
-        "{\"defenses\":\"%s\",\"procs\":%d,\"seed\":%llu,\"baseline_hps\":%.1f,"
-        "\"attacked_hps\":%.1f,\"mining_ratio\":%.4f,"
-        "\"honest_connected\":%zu,\"evictions\":%llu,\"shed_frames\":%llu,"
-        "\"inbound_rejects\":%llu,\"min_ratio\":%.3f,\"pass\":%s}\n",
-        defenses.c_str(), procs, static_cast<unsigned long long>(seed),
-        base.mining_hps, hit.mining_hps, ratio,
-        hit.honest_connected, static_cast<unsigned long long>(hit.evictions),
-        static_cast<unsigned long long>(hit.shed_frames),
-        static_cast<unsigned long long>(hit.rejects), min_ratio,
-        ratio >= min_ratio ? "true" : "false");
+    std::printf("%s\n", bsutil::JsonObject()
+                            .Add("defenses", defenses)
+                            .Add("procs", procs)
+                            .Add("seed", seed)
+                            .Add("baseline_hps", base.mining_hps)
+                            .Add("attacked_hps", hit.mining_hps)
+                            .Add("mining_ratio", ratio)
+                            .Add("honest_connected", hit.honest_connected)
+                            .Add("evictions", hit.evictions)
+                            .Add("shed_frames", hit.shed_frames)
+                            .Add("inbound_rejects", hit.rejects)
+                            .Add("min_ratio", min_ratio)
+                            .Add("pass", ratio >= min_ratio)
+                            .Render()
+                            .c_str());
   } else {
     std::printf("overload: defenses=%s, %d attacker procs x 2 Sybil conns, "
                 "60 kB bogus-BLOCK flood, seed %llu\n\n",
@@ -600,20 +604,23 @@ int RunEclipse(const Flags& flags) {
 
   const bool healed = out.final_fraction < heal_fraction;
   if (json) {
-    std::printf(
-        "{\"defenses\":\"%s\",\"seconds\":%.0f,\"seed\":%llu,\"peak_fraction\":%.4f,"
-        "\"final_fraction\":%.4f,\"heal_seconds\":%.1f,"
-        "\"honest_inbound\":%zu,\"attacker_outbound\":%d,"
-        "\"feeler_promotions\":%llu,\"stale_tip_events\":%llu,"
-        "\"evictions\":%llu,\"tried\":%zu,\"heal_fraction\":%.3f,"
-        "\"healed\":%s}\n",
-        hardened ? "all" : "none", seconds, static_cast<unsigned long long>(seed),
-        out.peak, out.final_fraction,
-        out.heal_seconds, out.honest_inbound, out.attacker_outbound,
-        static_cast<unsigned long long>(feeler_promotions),
-        static_cast<unsigned long long>(stale_tip_events),
-        static_cast<unsigned long long>(evictions), tried, heal_fraction,
-        healed ? "true" : "false");
+    std::printf("%s\n", bsutil::JsonObject()
+                            .Add("defenses", hardened ? "all" : "none")
+                            .Add("seconds", seconds)
+                            .Add("seed", seed)
+                            .Add("peak_fraction", out.peak)
+                            .Add("final_fraction", out.final_fraction)
+                            .Add("heal_seconds", out.heal_seconds)
+                            .Add("honest_inbound", out.honest_inbound)
+                            .Add("attacker_outbound", out.attacker_outbound)
+                            .Add("feeler_promotions", feeler_promotions)
+                            .Add("stale_tip_events", stale_tip_events)
+                            .Add("evictions", evictions)
+                            .Add("tried", tried)
+                            .Add("heal_fraction", heal_fraction)
+                            .Add("healed", healed)
+                            .Render()
+                            .c_str());
   } else {
     std::printf("eclipse: defenses=%s, %.0f s run, seed %llu, sustained Sybil\n"
                 "occupation + ADDR poisoning + Defamation of honest outbound peers\n\n",
@@ -675,22 +682,24 @@ int RunPartition(const Flags& flags) {
 
   const bool reconverged = out.final_gap <= 1;
   if (json) {
-    std::printf(
-        "{\"defenses\":\"%s\",\"seconds\":%.0f,\"seed\":%llu,\"final_gap\":%d,"
-        "\"reconverge_seconds\":%.1f,\"suspect_windows\":%llu,"
-        "\"recovery_actions\":%llu,\"probes_sent\":%llu,\"probe_replies\":%llu,"
-        "\"deferred_penalties\":%llu,\"honest_bans\":%zu,"
-        "\"max_honest_score\":%d,\"victim_height\":%d,\"miner_height\":%d,"
-        "\"reconverged\":%s}\n",
-        hardened ? "all" : "none", seconds, static_cast<unsigned long long>(seed),
-        out.final_gap, out.reconverge_seconds,
-        static_cast<unsigned long long>(victim.PartitionSuspectWindows()),
-        static_cast<unsigned long long>(victim.PartitionRecoveryActions()),
-        static_cast<unsigned long long>(victim.TipProbesSent()),
-        static_cast<unsigned long long>(victim.TipProbeReplies()),
-        static_cast<unsigned long long>(out.deferred_penalties), out.honest_bans,
-        out.max_honest_score, victim_height, miner_height,
-        reconverged ? "true" : "false");
+    std::printf("%s\n", bsutil::JsonObject()
+                            .Add("defenses", hardened ? "all" : "none")
+                            .Add("seconds", seconds)
+                            .Add("seed", seed)
+                            .Add("final_gap", out.final_gap)
+                            .Add("reconverge_seconds", out.reconverge_seconds)
+                            .Add("suspect_windows", victim.PartitionSuspectWindows())
+                            .Add("recovery_actions", victim.PartitionRecoveryActions())
+                            .Add("probes_sent", victim.TipProbesSent())
+                            .Add("probe_replies", victim.TipProbeReplies())
+                            .Add("deferred_penalties", out.deferred_penalties)
+                            .Add("honest_bans", out.honest_bans)
+                            .Add("max_honest_score", out.max_honest_score)
+                            .Add("victim_height", victim_height)
+                            .Add("miner_height", miner_height)
+                            .Add("reconverged", reconverged)
+                            .Render()
+                            .c_str());
   } else {
     std::printf("partition: defenses=%s, %.0f s run, seed %llu, one-way 45 s\n"
                 "routing detour from the mining side, victim /16 healed at "
@@ -1323,40 +1332,43 @@ int RunFuzz(const Flags& flags) {
   const bool ok = total_failures == 0 && (!run_diff || diff.ok);
 
   if (json) {
-    std::string out = "{\"campaigns\":[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const CampaignRow& row = rows[i];
-      if (i > 0) out += ",";
-      out += "{\"harness\":\"" + row.harness + "\",\"iterations\":" +
-             std::to_string(row.iterations) + ",\"corpus_inputs\":" +
-             std::to_string(row.corpus_inputs) + ",\"failures\":[";
-      for (std::size_t f = 0; f < row.failures.size(); ++f) {
-        const auto& fail = row.failures[f];
-        if (f > 0) out += ",";
-        out += "{\"seed\":" + std::to_string(fail.seed) + ",\"oracle\":\"" +
-               fail.oracle + "\",\"source\":\"" + fail.source +
-               "\",\"artifact\":\"" + fail.artifact_path + "\"}";
+    std::vector<std::string> campaigns;
+    for (const CampaignRow& row : rows) {
+      std::vector<std::string> failures;
+      for (const auto& fail : row.failures) {
+        failures.push_back(bsutil::JsonObject()
+                               .Add("seed", fail.seed)
+                               .Add("oracle", fail.oracle)
+                               .Add("source", fail.source)
+                               .Add("artifact", fail.artifact_path)
+                               .Render());
       }
-      out += "]}";
+      campaigns.push_back(bsutil::JsonObject()
+                              .Add("harness", row.harness)
+                              .Add("iterations", row.iterations)
+                              .Add("corpus_inputs", row.corpus_inputs)
+                              .AddRaw("failures", bsutil::JsonArray(failures))
+                              .Render());
     }
-    out += "]";
+    bsutil::JsonObject out;
+    out.AddRaw("campaigns", bsutil::JsonArray(campaigns));
     if (run_diff) {
-      auto cell_list = [](const std::vector<std::string>& cells) {
-        std::string s = "[";
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-          if (i > 0) s += ",";
-          s += "\"" + cells[i] + "\"";
+      const auto cells = [](const std::vector<std::string>& names) {
+        std::vector<std::string> quoted;
+        for (const std::string& name : names) {
+          quoted.push_back("\"" + bsutil::JsonEscape(name) + "\"");
         }
-        return s + "]";
+        return bsutil::JsonArray(quoted);
       };
-      out += ",\"differential\":{\"ok\":" + std::string(diff.ok ? "true" : "false") +
-             ",\"events\":" + std::to_string(diff.events) +
-             ",\"observed\":" + cell_list(diff.observed) +
-             ",\"unpredicted\":" + cell_list(diff.unpredicted) +
-             ",\"missing\":" + cell_list(diff.missing) + "}";
+      out.AddRaw("differential", bsutil::JsonObject()
+                                     .Add("ok", diff.ok)
+                                     .Add("events", diff.events)
+                                     .AddRaw("observed", cells(diff.observed))
+                                     .AddRaw("unpredicted", cells(diff.unpredicted))
+                                     .AddRaw("missing", cells(diff.missing))
+                                     .Render());
     }
-    out += ",\"ok\":" + std::string(ok ? "true" : "false") + "}";
-    std::printf("%s\n", out.c_str());
+    std::printf("%s\n", out.Add("ok", ok).Render().c_str());
   } else {
     std::printf("%-10s %12s %8s %9s\n", "harness", "iterations", "corpus",
                 "failures");
@@ -1644,11 +1656,14 @@ int RunTestbed(const Flags& flags) {
   }
 
   if (json) {
-    std::printf(
-        "{\"schema\":\"banscore-lab-testbed\",\"seed\":%llu,\"nodes\":%d,"
-        "\"pass\":%s,\"failure\":\"%s\"}\n",
-        static_cast<unsigned long long>(seed), n, ok ? "true" : "false",
-        failure.c_str());
+    std::printf("%s\n", bsutil::JsonObject()
+                            .Add("schema", "banscore-lab-testbed")
+                            .Add("seed", seed)
+                            .Add("nodes", n)
+                            .Add("pass", ok)
+                            .Add("failure", failure)
+                            .Render()
+                            .c_str());
   } else {
     std::printf("testbed: %d nodes, seed %llu\n", n,
                 static_cast<unsigned long long>(seed));
