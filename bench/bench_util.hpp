@@ -88,18 +88,17 @@ inline double TimeNsPerCall(const std::function<void()>& fn, int inner_iteration
 /// %.4g, integral ones in full.
 template <typename T>
 std::string SeriesJson(const std::vector<T>& series) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i > 0) out += ",";
+  std::vector<std::string> items;
+  for (const T v : series) {
     if constexpr (std::is_floating_point_v<T>) {
       char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.4g", static_cast<double>(series[i]));
-      out += buf;
+      std::snprintf(buf, sizeof(buf), "%.4g", static_cast<double>(v));
+      items.emplace_back(buf);
     } else {
-      out += std::to_string(series[i]);
+      items.push_back(std::to_string(v));
     }
   }
-  return out + "]";
+  return bsutil::JsonArray(items);
 }
 
 /// Strip a `--json <path>` flag from argv (so google-benchmark's own flag
@@ -149,10 +148,11 @@ class JsonReport {
     has_seed_ = true;
   }
 
-  void Add(const std::string& key, double value) { results_.Add(key, value); }
-  void Add(const std::string& key, std::uint64_t value) { results_.Add(key, value); }
-  void Add(const std::string& key, int value) { results_.Add(key, value); }
-  void Add(const std::string& key, const std::string& value) { results_.Add(key, value); }
+  /// A number or a string (see bsutil::JsonObject::Add).
+  template <typename T>
+  void Add(const std::string& key, const T& value) {
+    results_.Add(key, value);
+  }
   /// `raw` must already be valid JSON (object/array/number).
   void AddRaw(const std::string& key, const std::string& raw) { results_.AddRaw(key, raw); }
   void Add(const std::string& key, const CallTiming& t) {

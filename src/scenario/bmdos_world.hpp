@@ -44,8 +44,6 @@ class BmDosWorld {
 
   /// Builds and starts the victim at t = 0; nothing floods yet.
   explicit BmDosWorld(BmDosSpec spec);
-  BmDosWorld(const BmDosWorld&) = delete;
-  BmDosWorld& operator=(const BmDosWorld&) = delete;
 
   /// Open `flood.sybil_connections` fresh sessions and flood through them.
   /// Earlier floods stay allocated, stopped or not, until the world ends.

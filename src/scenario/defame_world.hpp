@@ -47,8 +47,6 @@ class DefameWorld {
 
   /// Builds the nodes and boots them to t = 5 s.
   explicit DefameWorld(DefameSpec spec);
-  DefameWorld(const DefameWorld&) = delete;
-  DefameWorld& operator=(const DefameWorld&) = delete;
 
   /// Pre-connection Defamation: a spoofed session as [innocent:port] sends
   /// VERSION, VERACK and a SegWit-invalid TX (100 points); then runs

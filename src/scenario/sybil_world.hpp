@@ -47,8 +47,6 @@ class SybilWorld {
   static constexpr std::uint32_t kTargetIp = 0x0a000001;
 
   explicit SybilWorld(SybilSpec spec);
-  SybilWorld(const SybilWorld&) = delete;
-  SybilWorld& operator=(const SybilWorld&) = delete;
 
   /// Run to spec.start_seconds, start the attack, run `seconds` more.
   SybilOutcome Run(double seconds);

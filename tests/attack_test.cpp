@@ -39,6 +39,23 @@ struct AttackFixture : ::testing::Test {
   Node& node = *world.victim;
   AttackerNode& attacker = *world.attacker;
   Crafter crafter{NodeConfig{}.chain};
+
+  /// An innocent node dials the target and completes its handshake. Returns
+  /// the innocent's identifier as the target sees it, copied (a ban destroys
+  /// the Peer), or a zero endpoint when no session came up.
+  Endpoint InnocentDialsIn() {
+    NodeConfig config;
+    config.target_outbound = 1;
+    innocent = std::make_unique<Node>(sched, net, kInnocentIp, config);
+    innocent->AddKnownAddress({kTargetIp, 8333});
+    innocent->Start();
+    sched.RunUntil(5 * bsim::kSecond);
+    for (const bsnet::Peer* p : node.Peers()) {
+      if (p->remote.ip == kInnocentIp) return p->remote;
+    }
+    return {};
+  }
+  std::unique_ptr<Node> innocent;
 };
 
 /// The victim's mining rate over [2 s, 7 s] of a flood with `payload`.
@@ -207,23 +224,11 @@ TEST_F(AttackFixture, PreConnectionDefamationDefeatedByEgressFiltering) {
 
 TEST_F(AttackFixture, PostConnectionDefamationBansConnectedInboundPeer) {
   // The innocent peer is a real node with a live inbound session to the
-  // target.
-  NodeConfig innocent_config;
-  innocent_config.target_outbound = 1;
-  Node innocent(sched, net, kInnocentIp, innocent_config);
-  innocent.AddKnownAddress({kTargetIp, 8333});
-  innocent.Start();
-  sched.RunUntil(5 * bsim::kSecond);
-  ASSERT_EQ(innocent.OutboundCount(), 1u);
-
-  // Algorithm 1: the attacker learns the 4-tuple by sniffing; here we look
-  // up the innocent's ephemeral port the same way its sniffer would.
-  const bsnet::Peer* session_at_target = nullptr;
-  for (const bsnet::Peer* p : node.Peers()) {
-    if (p->remote.ip == kInnocentIp) session_at_target = p;
-  }
-  ASSERT_NE(session_at_target, nullptr);
-  const Endpoint innocent_id = session_at_target->remote;
+  // target. Algorithm 1: the attacker learns the 4-tuple by sniffing; here
+  // we look up the innocent's ephemeral port the same way its sniffer would.
+  const Endpoint innocent_id = InnocentDialsIn();
+  ASSERT_EQ(innocent->OutboundCount(), 1u);
+  ASSERT_EQ(innocent_id.ip, kInnocentIp);
 
   PostConnectionDefamation defamation(attacker, {kTargetIp, 8333}, innocent_id);
   Crafter crafter2(node.Config().chain);
@@ -231,7 +236,7 @@ TEST_F(AttackFixture, PostConnectionDefamationBansConnectedInboundPeer) {
                                          crafter2.SegwitInvalidTx())});
 
   // Trigger traffic on the connection so the sniffer learns the live state.
-  innocent.SendToRemoteIp(kTargetIp, bsproto::PingMsg{7});
+  innocent->SendToRemoteIp(kTargetIp, bsproto::PingMsg{7});
   sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
 
   EXPECT_TRUE(defamation.SequenceKnown());
@@ -457,43 +462,20 @@ TEST_F(EclipseFixture, WithoutDefamationTheOutboundSideResists) {
 namespace {
 
 TEST_F(AttackFixture, PostConnectionDefamationWithMutatedBlockPayload) {
-  NodeConfig innocent_config;
-  innocent_config.target_outbound = 1;
-  Node innocent(sched, net, kInnocentIp, innocent_config);
-  innocent.AddKnownAddress({kTargetIp, 8333});
-  innocent.Start();
-  sched.RunUntil(5 * bsim::kSecond);
-  ASSERT_EQ(innocent.OutboundCount(), 1u);
-
-  const bsnet::Peer* session_at_target = nullptr;
-  for (const bsnet::Peer* p : node.Peers()) {
-    if (p->remote.ip == kInnocentIp) session_at_target = p;
-  }
-  ASSERT_NE(session_at_target, nullptr);
-  // Copy the identifier now: the ban destroys the Peer object.
-  const Endpoint victim_id = session_at_target->remote;
+  const Endpoint victim_id = InnocentDialsIn();
+  ASSERT_EQ(victim_id.ip, kInnocentIp);
 
   PostConnectionDefamation defamation(attacker, {kTargetIp, 8333}, victim_id);
   defamation.Arm({bsproto::EncodeMessage(
       node.Config().chain.magic, crafter.MutatedBlock(node.Chain().TipHash()))});
-  innocent.SendToRemoteIp(kTargetIp, bsproto::PingMsg{3});
+  innocent->SendToRemoteIp(kTargetIp, bsproto::PingMsg{3});
   sched.RunUntil(sched.Now() + 5 * bsim::kSecond);
   EXPECT_TRUE(node.Bans().IsBanned(victim_id, sched.Now()));
 }
 
 TEST_F(AttackFixture, PostConnectionDefamationWithOversizeRuleNeedsFiveInjections) {
-  NodeConfig innocent_config;
-  innocent_config.target_outbound = 1;
-  Node innocent(sched, net, kInnocentIp, innocent_config);
-  innocent.AddKnownAddress({kTargetIp, 8333});
-  innocent.Start();
-  sched.RunUntil(5 * bsim::kSecond);
-  const bsnet::Peer* session_at_target = nullptr;
-  for (const bsnet::Peer* p : node.Peers()) {
-    if (p->remote.ip == kInnocentIp) session_at_target = p;
-  }
-  ASSERT_NE(session_at_target, nullptr);
-  const Endpoint victim_id = session_at_target->remote;
+  const Endpoint victim_id = InnocentDialsIn();
+  ASSERT_EQ(victim_id.ip, kInnocentIp);
 
   // Five oversize-ADDR frames (+20 each) in one injected burst.
   std::vector<bsutil::ByteVec> frames;
@@ -503,7 +485,7 @@ TEST_F(AttackFixture, PostConnectionDefamationWithOversizeRuleNeedsFiveInjection
   }
   PostConnectionDefamation defamation(attacker, {kTargetIp, 8333}, victim_id);
   defamation.Arm(std::move(frames));
-  innocent.SendToRemoteIp(kTargetIp, bsproto::PingMsg{4});
+  innocent->SendToRemoteIp(kTargetIp, bsproto::PingMsg{4});
   sched.RunUntil(sched.Now() + 10 * bsim::kSecond);
   EXPECT_TRUE(node.Bans().IsBanned(victim_id, sched.Now()));
 }

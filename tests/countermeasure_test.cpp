@@ -22,16 +22,20 @@ constexpr std::uint32_t kTargetIp = 0x0a000001;
 constexpr std::uint32_t kAttackerIp = 0x0a000002;
 constexpr std::uint32_t kInnocentIp = 0x0a000003;
 
+/// A target node with `config` and an attacker at its door.
 struct PolicyFixture {
-  explicit PolicyFixture(BanPolicy policy, int good_exemption = 1)
-      : net(sched), crafter(bschain::ChainParams{}) {
-    NodeConfig config;
-    config.ban_policy = policy;
-    config.good_score_exemption = good_exemption;
+  explicit PolicyFixture(NodeConfig config) : net(sched), crafter(config.chain) {
     node = std::make_unique<Node>(sched, net, kTargetIp, config);
     node->Start();
     attacker = std::make_unique<AttackerNode>(sched, net, kAttackerIp,
                                               config.chain.magic);
+  }
+
+  explicit PolicyFixture(BanPolicy policy) : PolicyFixture(WithPolicy(policy)) {}
+  static NodeConfig WithPolicy(BanPolicy policy) {
+    NodeConfig config;
+    config.ban_policy = policy;
+    return config;
   }
 
   AttackSession* ReadySession() {
@@ -114,63 +118,44 @@ TEST(Countermeasures, GoodScoreStillBansCreditlessAttacker) {
 TEST(Countermeasures, ChecksumOrderingAblationClosesBogusLoophole) {
   // Stock ordering: bogus frames are free. Flipped ordering (the ablation):
   // each bad-checksum frame costs the sender ban score.
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
   NodeConfig config;
   config.checksum_before_misbehavior = false;
-  Node node(sched, net, kTargetIp, config);
-  node.Start();
-  AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-  Crafter crafter(config.chain);
-
-  AttackSession* session = attacker.OpenSession({kTargetIp, 8333});
-  sched.RunUntil(bsim::kSecond);
-  const auto frame = crafter.BogusBlockFrame(config.chain.magic, 1000);
-  for (int i = 0; i < 20; ++i) attacker.SendRawFrame(*session, frame);
-  sched.RunUntil(sched.Now() + bsim::kSecond);
+  PolicyFixture fx(config);
+  AttackSession* session = fx.ReadySession();
+  const auto frame = fx.crafter.BogusBlockFrame(config.chain.magic, 1000);
+  for (int i = 0; i < 20; ++i) fx.attacker->SendRawFrame(*session, frame);
+  fx.Settle();
   // 10 points per bad frame → banned after the 10th.
   EXPECT_TRUE(session->closed);
-  EXPECT_GE(node.PeersBanned(), 1u);
+  EXPECT_GE(fx.node->PeersBanned(), 1u);
 }
 
 TEST(Countermeasures, BanDurationConfigurable) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
   NodeConfig config;
   config.ban_duration = bsim::kMinute;
-  Node node(sched, net, kTargetIp, config);
-  node.Start();
-  AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-  Crafter crafter(config.chain);
-  AttackSession* session = attacker.OpenSession({kTargetIp, 8333});
-  sched.RunUntil(bsim::kSecond);
-  attacker.Send(*session, crafter.SegwitInvalidTx());
-  sched.RunUntil(sched.Now() + bsim::kSecond);
+  PolicyFixture fx(config);
+  AttackSession* session = fx.ReadySession();
+  fx.attacker->Send(*session, fx.crafter.SegwitInvalidTx());
+  fx.Settle();
   const Endpoint banned = session->local;
-  EXPECT_TRUE(node.Bans().IsBanned(banned, sched.Now()));
-  sched.RunUntil(sched.Now() + 2 * bsim::kMinute);
-  EXPECT_FALSE(node.Bans().IsBanned(banned, sched.Now()));
+  EXPECT_TRUE(fx.node->Bans().IsBanned(banned, fx.sched.Now()));
+  fx.sched.RunUntil(fx.sched.Now() + 2 * bsim::kMinute);
+  EXPECT_FALSE(fx.node->Bans().IsBanned(banned, fx.sched.Now()));
 
   // After expiry the identifier can connect again.
   AttackSession* retry =
-      attacker.OpenSession({kTargetIp, 8333}, /*auto_handshake=*/true, banned.port);
-  sched.RunUntil(sched.Now() + bsim::kSecond);
+      fx.attacker->OpenSession({kTargetIp, 8333}, /*auto_handshake=*/true, banned.port);
+  fx.Settle();
   EXPECT_TRUE(retry->SessionReady());
 }
 
 TEST(Countermeasures, LowerBanThresholdBansFaster) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
   NodeConfig config;
   config.ban_threshold = 20;
-  Node node(sched, net, kTargetIp, config);
-  node.Start();
-  AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-  Crafter crafter(config.chain);
-  AttackSession* session = attacker.OpenSession({kTargetIp, 8333});
-  sched.RunUntil(bsim::kSecond);
-  attacker.Send(*session, crafter.OversizeAddr());  // 20 points == threshold
-  sched.RunUntil(sched.Now() + bsim::kSecond);
+  PolicyFixture fx(config);
+  AttackSession* session = fx.ReadySession();
+  fx.attacker->Send(*session, fx.crafter.OversizeAddr());  // 20 points == threshold
+  fx.Settle();
   EXPECT_TRUE(session->closed);
 }
 
@@ -205,51 +190,37 @@ TEST(Countermeasures, GoodScoreDefamationEndToEnd) {
 // non-expiring) vs the 0.20.0 banning regime the paper studies.
 namespace {
 
-TEST(Discouragement, MisbehaviorDiscouragesWholeIpInsteadOfBanning) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
+NodeConfig Discouraging() {
   NodeConfig config;
   config.use_discouragement = true;
-  Node node(sched, net, kTargetIp, config);
-  node.Start();
-  AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-  Crafter crafter(config.chain);
+  return config;
+}
 
-  AttackSession* session = attacker.OpenSession({kTargetIp, 8333});
-  sched.RunUntil(bsim::kSecond);
-  attacker.Send(*session, crafter.SegwitInvalidTx());
-  sched.RunUntil(sched.Now() + bsim::kSecond);
+TEST(Discouragement, MisbehaviorDiscouragesWholeIpInsteadOfBanning) {
+  PolicyFixture fx(Discouraging());
+  AttackSession* session = fx.ReadySession();
+  fx.attacker->Send(*session, fx.crafter.SegwitInvalidTx());
+  fx.Settle();
 
   EXPECT_TRUE(session->closed);
   // No timed [IP:Port] ban — the whole IP is discouraged instead.
-  EXPECT_EQ(node.Bans().Size(), 0u);
-  EXPECT_TRUE(node.Bans().IsDiscouraged(kAttackerIp));
+  EXPECT_EQ(fx.node->Bans().Size(), 0u);
+  EXPECT_TRUE(fx.node->Bans().IsDiscouraged(kAttackerIp));
 
   // The Sybil fresh-port loophole is closed in this regime: ANY new port
   // from the discouraged IP is refused.
-  AttackSession* sybil = attacker.OpenSession({kTargetIp, 8333});
-  sched.RunUntil(sched.Now() + bsim::kSecond);
+  AttackSession* sybil = fx.ReadySession();
   EXPECT_TRUE(sybil->closed);
   EXPECT_FALSE(sybil->SessionReady());
 }
 
 TEST(Discouragement, DoesNotExpireWithTime) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
-  NodeConfig config;
-  config.use_discouragement = true;
-  Node node(sched, net, kTargetIp, config);
-  node.Start();
-  AttackerNode attacker(sched, net, kAttackerIp, config.chain.magic);
-  Crafter crafter(config.chain);
-  AttackSession* session = attacker.OpenSession({kTargetIp, 8333});
-  sched.RunUntil(bsim::kSecond);
-  attacker.Send(*session, crafter.SegwitInvalidTx());
-  sched.RunUntil(sched.Now() + 48 * bsim::kHour);  // well past the 24h ban window
-  EXPECT_TRUE(node.Bans().IsDiscouraged(kAttackerIp));
-  AttackSession* retry = attacker.OpenSession({kTargetIp, 8333});
-  sched.RunUntil(sched.Now() + bsim::kSecond);
-  EXPECT_TRUE(retry->closed);
+  PolicyFixture fx(Discouraging());
+  AttackSession* session = fx.ReadySession();
+  fx.attacker->Send(*session, fx.crafter.SegwitInvalidTx());
+  fx.sched.RunUntil(fx.sched.Now() + 48 * bsim::kHour);  // well past the 24h ban window
+  EXPECT_TRUE(fx.node->Bans().IsDiscouraged(kAttackerIp));
+  EXPECT_TRUE(fx.ReadySession()->closed);
 }
 
 TEST(Discouragement, OutboundDialsAvoidDiscouragedIps) {

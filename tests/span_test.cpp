@@ -10,10 +10,10 @@
 #include <thread>
 #include <vector>
 
-#include "attack/attacker.hpp"
 #include "core/node.hpp"
 #include "obs/span.hpp"
 #include "scenario/defame_world.hpp"
+#include "scenario/sybil_world.hpp"
 #include "sim/faults.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
@@ -266,24 +266,13 @@ TEST(SpanLineageTest, BlockRelayChainCrossesNodes) {
 }
 
 TEST(SpanLineageTest, MisbehaviorAndBanChainToAttackerSend) {
-  bsim::Scheduler sched;
-  bsim::Network net(sched);
+  // One Sybil identifier floods duplicate VERSIONs until it is banned.
   SpanTracer tracer;
-
-  NodeConfig tc;
-  tc.span_tracer = &tracer;
-  Node target(sched, net, 0x0a000001, tc);
-  target.Start();
-  bsattack::AttackerNode attacker(sched, net, 0x0a000066, tc.chain.magic);
-  attacker.SetSpanTracer(&tracer);
-
-  auto* session = attacker.OpenSession({target.Ip(), 8333}, /*auto_handshake=*/false);
-  sched.RunUntil(bsim::kSecond);
-  for (int i = 0; i < 120 && !session->closed; ++i) {
-    attacker.Send(*session, bsproto::VersionMsg{});
-    sched.RunUntil(sched.Now() + bsim::kMillisecond);
-  }
-  ASSERT_GE(target.PeersBanned(), 1u);
+  bsscenario::SybilSpec spec;
+  spec.tracer = &tracer;
+  spec.attack.max_identifiers = 1;
+  bsscenario::SybilWorld world(spec);
+  ASSERT_EQ(world.Run(5).banned, 1);
 
   const auto spans = tracer.Log().Snapshot();
   const auto by_span = IndexBySpan(spans);
@@ -298,7 +287,7 @@ TEST(SpanLineageTest, MisbehaviorAndBanChainToAttackerSend) {
   EXPECT_EQ(chain[1]->kind, SpanKind::kMisbehavior);
   EXPECT_EQ(chain[2]->kind, SpanKind::kReceive);
   EXPECT_EQ(chain[3]->kind, SpanKind::kSend);
-  EXPECT_EQ(chain[3]->node_ip, attacker.Ip());
+  EXPECT_EQ(chain[3]->node_ip, spec.attacker_ip);
   EXPECT_EQ(chain[3]->parent_span, 0u);
 }
 

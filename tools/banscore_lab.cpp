@@ -158,6 +158,9 @@ bool ParseJsonFormat(const Flags& flags, const char* text = "table") {
   return flags.Choose<bool>("format", text, {{text, false}, {"json", true}});
 }
 
+/// One --format json document on its own line.
+void PrintJson(const bsutil::JsonObject& doc) { std::printf("%s\n", doc.Render().c_str()); }
+
 /// --defenses none|all of the eclipse and partition worlds: true = hardened.
 bool ParseHardened(const Flags& flags) {
   return flags.Choose<bool>("defenses", "all", {{"none", false}, {"all", true}});
@@ -532,21 +535,13 @@ int RunOverload(const Flags& flags) {
       base.mining_hps > 0.0 ? hit.mining_hps / base.mining_hps : 0.0;
 
   if (json) {
-    std::printf("%s\n", bsutil::JsonObject()
-                            .Add("defenses", defenses)
-                            .Add("procs", procs)
-                            .Add("seed", seed)
-                            .Add("baseline_hps", base.mining_hps)
-                            .Add("attacked_hps", hit.mining_hps)
-                            .Add("mining_ratio", ratio)
-                            .Add("honest_connected", hit.honest_connected)
-                            .Add("evictions", hit.evictions)
-                            .Add("shed_frames", hit.shed_frames)
-                            .Add("inbound_rejects", hit.rejects)
-                            .Add("min_ratio", min_ratio)
-                            .Add("pass", ratio >= min_ratio)
-                            .Render()
-                            .c_str());
+    bsutil::JsonObject j;
+    j.Add("defenses", defenses).Add("procs", procs).Add("seed", seed);
+    j.Add("baseline_hps", base.mining_hps).Add("attacked_hps", hit.mining_hps);
+    j.Add("mining_ratio", ratio).Add("honest_connected", hit.honest_connected);
+    j.Add("evictions", hit.evictions).Add("shed_frames", hit.shed_frames);
+    j.Add("inbound_rejects", hit.rejects).Add("min_ratio", min_ratio);
+    PrintJson(j.Add("pass", ratio >= min_ratio));
   } else {
     std::printf("overload: defenses=%s, %d attacker procs x 2 Sybil conns, "
                 "60 kB bogus-BLOCK flood, seed %llu\n\n",
@@ -604,23 +599,14 @@ int RunEclipse(const Flags& flags) {
 
   const bool healed = out.final_fraction < heal_fraction;
   if (json) {
-    std::printf("%s\n", bsutil::JsonObject()
-                            .Add("defenses", hardened ? "all" : "none")
-                            .Add("seconds", seconds)
-                            .Add("seed", seed)
-                            .Add("peak_fraction", out.peak)
-                            .Add("final_fraction", out.final_fraction)
-                            .Add("heal_seconds", out.heal_seconds)
-                            .Add("honest_inbound", out.honest_inbound)
-                            .Add("attacker_outbound", out.attacker_outbound)
-                            .Add("feeler_promotions", feeler_promotions)
-                            .Add("stale_tip_events", stale_tip_events)
-                            .Add("evictions", evictions)
-                            .Add("tried", tried)
-                            .Add("heal_fraction", heal_fraction)
-                            .Add("healed", healed)
-                            .Render()
-                            .c_str());
+    bsutil::JsonObject j;
+    j.Add("defenses", hardened ? "all" : "none").Add("seconds", seconds).Add("seed", seed);
+    j.Add("peak_fraction", out.peak).Add("final_fraction", out.final_fraction);
+    j.Add("heal_seconds", out.heal_seconds).Add("honest_inbound", out.honest_inbound);
+    j.Add("attacker_outbound", out.attacker_outbound);
+    j.Add("feeler_promotions", feeler_promotions).Add("stale_tip_events", stale_tip_events);
+    j.Add("evictions", evictions).Add("tried", tried).Add("heal_fraction", heal_fraction);
+    PrintJson(j.Add("healed", healed));
   } else {
     std::printf("eclipse: defenses=%s, %.0f s run, seed %llu, sustained Sybil\n"
                 "occupation + ADDR poisoning + Defamation of honest outbound peers\n\n",
@@ -682,24 +668,15 @@ int RunPartition(const Flags& flags) {
 
   const bool reconverged = out.final_gap <= 1;
   if (json) {
-    std::printf("%s\n", bsutil::JsonObject()
-                            .Add("defenses", hardened ? "all" : "none")
-                            .Add("seconds", seconds)
-                            .Add("seed", seed)
-                            .Add("final_gap", out.final_gap)
-                            .Add("reconverge_seconds", out.reconverge_seconds)
-                            .Add("suspect_windows", victim.PartitionSuspectWindows())
-                            .Add("recovery_actions", victim.PartitionRecoveryActions())
-                            .Add("probes_sent", victim.TipProbesSent())
-                            .Add("probe_replies", victim.TipProbeReplies())
-                            .Add("deferred_penalties", out.deferred_penalties)
-                            .Add("honest_bans", out.honest_bans)
-                            .Add("max_honest_score", out.max_honest_score)
-                            .Add("victim_height", victim_height)
-                            .Add("miner_height", miner_height)
-                            .Add("reconverged", reconverged)
-                            .Render()
-                            .c_str());
+    bsutil::JsonObject j;
+    j.Add("defenses", hardened ? "all" : "none").Add("seconds", seconds).Add("seed", seed);
+    j.Add("final_gap", out.final_gap).Add("reconverge_seconds", out.reconverge_seconds);
+    j.Add("suspect_windows", victim.PartitionSuspectWindows());
+    j.Add("recovery_actions", victim.PartitionRecoveryActions());
+    j.Add("probes_sent", victim.TipProbesSent()).Add("probe_replies", victim.TipProbeReplies());
+    j.Add("deferred_penalties", out.deferred_penalties).Add("honest_bans", out.honest_bans);
+    j.Add("max_honest_score", out.max_honest_score).Add("victim_height", victim_height);
+    PrintJson(j.Add("miner_height", miner_height).Add("reconverged", reconverged));
   } else {
     std::printf("partition: defenses=%s, %.0f s run, seed %llu, one-way 45 s\n"
                 "routing detour from the mining side, victim /16 healed at "
@@ -904,12 +881,6 @@ std::string IpToString(std::uint32_t ip) {
   return buf;
 }
 
-std::uint32_t ParseIp(const std::string& s) {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  if (std::sscanf(s.c_str(), "%u.%u.%u.%u", &a, &b, &c, &d) != 4) return 0;
-  return (a << 24) | (b << 16) | (c << 8) | d;
-}
-
 std::string SpanLine(const bsobs::SpanRecord& rec) {
   char buf[256];
   std::string detail;
@@ -967,7 +938,7 @@ std::string SpanLine(const bsobs::SpanRecord& rec) {
 
 int RunTimeline(const Flags& flags) {
   const std::string scenario = flags.Get("scenario", "defame-post");
-  const std::uint32_t peer_filter = ParseIp(flags.Get("peer", ""));
+  const std::uint32_t peer_filter = bsproto::Endpoint::ParseIp(flags.Get("peer", ""));
   const std::uint64_t seed = SeedOf(flags);
   bsobs::SpanTracer tracer;
   std::unique_ptr<bsscenario::DefameWorld> defame;
@@ -1336,19 +1307,14 @@ int RunFuzz(const Flags& flags) {
     for (const CampaignRow& row : rows) {
       std::vector<std::string> failures;
       for (const auto& fail : row.failures) {
-        failures.push_back(bsutil::JsonObject()
-                               .Add("seed", fail.seed)
-                               .Add("oracle", fail.oracle)
-                               .Add("source", fail.source)
-                               .Add("artifact", fail.artifact_path)
-                               .Render());
+        bsutil::JsonObject f;
+        f.Add("seed", fail.seed).Add("oracle", fail.oracle).Add("source", fail.source);
+        failures.push_back(f.Add("artifact", fail.artifact_path).Render());
       }
-      campaigns.push_back(bsutil::JsonObject()
-                              .Add("harness", row.harness)
-                              .Add("iterations", row.iterations)
-                              .Add("corpus_inputs", row.corpus_inputs)
-                              .AddRaw("failures", bsutil::JsonArray(failures))
-                              .Render());
+      bsutil::JsonObject c;
+      c.Add("harness", row.harness).Add("iterations", row.iterations);
+      c.Add("corpus_inputs", row.corpus_inputs);
+      campaigns.push_back(c.AddRaw("failures", bsutil::JsonArray(failures)).Render());
     }
     bsutil::JsonObject out;
     out.AddRaw("campaigns", bsutil::JsonArray(campaigns));
@@ -1360,15 +1326,12 @@ int RunFuzz(const Flags& flags) {
         }
         return bsutil::JsonArray(quoted);
       };
-      out.AddRaw("differential", bsutil::JsonObject()
-                                     .Add("ok", diff.ok)
-                                     .Add("events", diff.events)
-                                     .AddRaw("observed", cells(diff.observed))
-                                     .AddRaw("unpredicted", cells(diff.unpredicted))
-                                     .AddRaw("missing", cells(diff.missing))
-                                     .Render());
+      bsutil::JsonObject d;
+      d.Add("ok", diff.ok).Add("events", diff.events).AddRaw("observed", cells(diff.observed));
+      d.AddRaw("unpredicted", cells(diff.unpredicted)).AddRaw("missing", cells(diff.missing));
+      out.AddRaw("differential", d.Render());
     }
-    std::printf("%s\n", out.Add("ok", ok).Render().c_str());
+    PrintJson(out.Add("ok", ok));
   } else {
     std::printf("%-10s %12s %8s %9s\n", "harness", "iterations", "corpus",
                 "failures");
@@ -1656,14 +1619,9 @@ int RunTestbed(const Flags& flags) {
   }
 
   if (json) {
-    std::printf("%s\n", bsutil::JsonObject()
-                            .Add("schema", "banscore-lab-testbed")
-                            .Add("seed", seed)
-                            .Add("nodes", n)
-                            .Add("pass", ok)
-                            .Add("failure", failure)
-                            .Render()
-                            .c_str());
+    bsutil::JsonObject j;
+    j.Add("schema", "banscore-lab-testbed").Add("seed", seed).Add("nodes", n);
+    PrintJson(j.Add("pass", ok).Add("failure", failure));
   } else {
     std::printf("testbed: %d nodes, seed %llu\n", n,
                 static_cast<unsigned long long>(seed));
