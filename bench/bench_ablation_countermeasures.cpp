@@ -16,8 +16,7 @@
 #include "attack/crafter.hpp"
 #include "bench_util.hpp"
 #include "core/node.hpp"
-#include "scenario/defame_world.hpp"
-#include "scenario/sybil_world.hpp"
+#include "scenario/attack_worlds.hpp"
 
 namespace {
 

@@ -15,7 +15,7 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "scenario/bmdos_world.hpp"
+#include "scenario/attack_worlds.hpp"
 #include "util/stats.hpp"
 
 namespace {

@@ -17,8 +17,7 @@
 
 #include "bench_util.hpp"
 #include "core/node.hpp"
-#include "scenario/defame_world.hpp"
-#include "scenario/sybil_world.hpp"
+#include "scenario/attack_worlds.hpp"
 
 namespace {
 

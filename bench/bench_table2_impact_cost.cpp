@@ -27,7 +27,7 @@
 #include "obs/profiler.hpp"
 #include "proto/codec.hpp"
 #include "proto/compact.hpp"
-#include "scenario/bmdos_world.hpp"
+#include "scenario/attack_worlds.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -353,7 +353,7 @@ void RunNodePipeline(bsobs::MetricsRegistry& registry, bsbench::JsonReport& repo
     world.RunFor(5.0);
     world.StopFlood();
   }
-  bsnet::Node& victim = *world.victim;
+  bsnet::Node& victim = *world.target;
 
   std::printf("frames dropped (bad checksum):   %llu\n",
               static_cast<unsigned long long>(victim.FramesDroppedBadChecksum()));

@@ -14,7 +14,7 @@
 #include "attack/icmpflood.hpp"
 #include "bench_util.hpp"
 #include "core/costmodel.hpp"
-#include "scenario/bmdos_world.hpp"
+#include "scenario/attack_worlds.hpp"
 
 namespace {
 
@@ -44,7 +44,7 @@ Result RunFlood(bool bitcoin_ping, double rate) {
   BmDosWorld world(spec);
   bsattack::IcmpFloodConfig ic;
   ic.rate_pkts_per_sec = rate;
-  bsattack::IcmpFlooder icmp(*world.attacker, BmDosWorld::kVictimIp, ic);
+  bsattack::IcmpFlooder icmp(*world.attacker, BmDosWorld::kTargetIp, ic);
   if (bitcoin_ping) {
     world.StartFlood();
   } else {
@@ -58,7 +58,7 @@ Result RunFlood(bool bitcoin_ping, double rate) {
   Result result;
   result.mining_rate_hps = sample.mining_rate_hps;
   result.bandwidth_kbits =
-      static_cast<double>(world.net.BytesDeliveredTo(BmDosWorld::kVictimIp)) * 8.0 /
+      static_cast<double>(world.net.BytesDeliveredTo(BmDosWorld::kTargetIp)) * 8.0 /
       1000.0 / kMeasureSeconds;
   if (bitcoin_ping) {
     result.attacker_cpu_percent = bsnet::PythonAttackerCpuPercent(

@@ -12,8 +12,7 @@
 #include "attack/icmpflood.hpp"
 #include "attack/traffic.hpp"
 #include "core/node.hpp"
-#include "scenario/bmdos_world.hpp"
-#include "scenario/sybil_world.hpp"
+#include "scenario/attack_worlds.hpp"
 
 namespace {
 
@@ -36,7 +35,7 @@ struct AttackFixture : ::testing::Test {
   bsscenario::BmDosWorld world{MiningVictim()};
   bsim::Scheduler& sched = world.sched;
   bsim::Network& net = world.net;
-  Node& node = *world.victim;
+  Node& node = *world.target;
   AttackerNode& attacker = *world.attacker;
   Crafter crafter{NodeConfig{}.chain};
 

@@ -9,7 +9,7 @@
 #include "attack/crafter.hpp"
 #include "attack/defamation.hpp"
 #include "core/node.hpp"
-#include "scenario/defame_world.hpp"
+#include "scenario/attack_worlds.hpp"
 
 namespace {
 

@@ -9,7 +9,7 @@
 #include "attack/attacker.hpp"
 #include "attack/crafter.hpp"
 #include "core/node.hpp"
-#include "scenario/sybil_world.hpp"
+#include "scenario/attack_worlds.hpp"
 
 namespace {
 

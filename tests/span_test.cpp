@@ -12,8 +12,7 @@
 
 #include "core/node.hpp"
 #include "obs/span.hpp"
-#include "scenario/defame_world.hpp"
-#include "scenario/sybil_world.hpp"
+#include "scenario/attack_worlds.hpp"
 #include "sim/faults.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"

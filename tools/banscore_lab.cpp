@@ -67,12 +67,10 @@
 #include "fuzz/differential.hpp"
 #include "fuzz/engine.hpp"
 #include "fuzz/harness.hpp"
-#include "scenario/bmdos_world.hpp"
+#include "scenario/attack_worlds.hpp"
 #include "scenario/chaos_world.hpp"
-#include "scenario/defame_world.hpp"
 #include "scenario/eclipse_world.hpp"
 #include "scenario/partition_world.hpp"
-#include "scenario/sybil_world.hpp"
 #include "store/fsck.hpp"
 #include "store/store.hpp"
 #include "util/json.hpp"
@@ -218,8 +216,8 @@ int RunBmDos(const Flags& flags) {
               100.0 * (1.0 - sample.mining_rate_hps / baseline),
               100.0 * sample.busy_fraction);
   std::printf("  bad-checksum frames dropped: %llu, peers banned: %llu\n",
-              static_cast<unsigned long long>(world.victim->FramesDroppedBadChecksum()),
-              static_cast<unsigned long long>(world.victim->PeersBanned()));
+              static_cast<unsigned long long>(world.target->FramesDroppedBadChecksum()),
+              static_cast<unsigned long long>(world.target->PeersBanned()));
   return 0;
 }
 
