@@ -81,9 +81,7 @@ using namespace bsnet;  // NOLINT
 namespace {
 
 // ---------------------------------------------------------------------------
-// Tiny flag parser: --key value pairs after the scenario name. A malformed
-// command line (a bare word, a flag without a value, a value outside its
-// flag's set) exits 2 before anything runs.
+// Tiny flag parser: --key value pairs after the scenario name.
 
 class Flags {
  public:
@@ -156,13 +154,13 @@ bool ParseJsonFormat(const Flags& flags, const char* text = "table") {
   return flags.Choose<bool>("format", text, {{text, false}, {"json", true}});
 }
 
-/// One --format json document on its own line.
-void PrintJson(const bsutil::JsonObject& doc) { std::printf("%s\n", doc.Render().c_str()); }
-
 /// --defenses none|all of the eclipse and partition worlds: true = hardened.
 bool ParseHardened(const Flags& flags) {
   return flags.Choose<bool>("defenses", "all", {{"none", false}, {"all", true}});
 }
+
+/// One --format json document on its own line.
+void PrintJson(const bsutil::JsonObject& doc) { std::printf("%s\n", doc.Render().c_str()); }
 
 /// --seed for every scenario. 42 is the NodeConfig default, so omitting the
 /// flag reproduces the historical (pre---seed) runs bit for bit; derived
@@ -207,8 +205,8 @@ int RunBmDos(const Flags& flags) {
 
   std::printf("BM-DoS: payload=%s connections=%d rate=%.0f/s policy=%s seed=%llu\n",
               flags.Get("payload", "bogus-block").c_str(), spec.flood.sybil_connections,
-              world.Flood().EffectiveRate(),
-              ToString(spec.policy), static_cast<unsigned long long>(seed));
+              world.Flood().EffectiveRate(), ToString(spec.policy),
+              static_cast<unsigned long long>(seed));
   std::printf("  messages sent:        %llu\n",
               static_cast<unsigned long long>(world.Flood().MessagesSent()));
   std::printf("  mining: %.3g -> %.3g h/s (%.0f%% drop), CPU busy %.1f%%\n", baseline,
@@ -349,8 +347,7 @@ int RunDetect(const Flags& flags) {
 
   const auto result = engine.Detect(monitor.Window(sched.Now(), window));
   std::printf("under %s: n=%.0f c=%.2f rho=%.4f -> %s%s%s\n", bmdos ? "bmdos" : "defame",
-              result.n,
-              result.c, result.rho, result.anomalous ? "ANOMALOUS (" : "normal",
+              result.n, result.c, result.rho, result.anomalous ? "ANOMALOUS (" : "normal",
               result.anomalous
                   ? (result.bmdos_suspected ? "bm-dos " : "")
                   : "",
