@@ -67,7 +67,8 @@ double MiningUnderFlood(BmDosConfig::Payload payload) {
   return world.MiningWindow(5).mining_rate_hps;
 }
 
-/// The Fig. 8 world: a serial Sybil of `identifiers` run for `seconds`.
+/// The Fig. 8 world with `identifiers` serial Sybil identifiers and an extra
+/// delay between messages.
 bsscenario::SybilSpec SybilOf(int identifiers, bsim::SimTime extra_delay = 0) {
   bsscenario::SybilSpec spec;
   spec.attack.max_identifiers = identifiers;
