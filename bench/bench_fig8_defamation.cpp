@@ -108,6 +108,9 @@ int main(int argc, char** argv) {
     // A 50-identifier address pool: one innocent host, many ports (per-
     // [IP:Port] banning makes each a distinct peer-table entry).
     bsscenario::DefameWorld world(bsscenario::DefameSpec{});
+    for (std::uint16_t port = 9000; port < 9050; ++port) {
+      world.target->AddKnownAddress({bsscenario::DefameWorld::kInnocentIp, port});
+    }
     std::printf("%-18s | %s\n", "identifiers defamed", "usable pool entries");
     bsbench::PrintRule('-', 44);
     for (int defamed = 0; defamed <= 50; defamed += 10) {

@@ -60,7 +60,6 @@ SybilWorld::SybilWorld(SybilSpec spec) : spec_(std::move(spec)) {
 }
 
 SybilOutcome SybilWorld::Run(double seconds) {
-  if (spec_.start_seconds > 0) sched.RunUntil(bsim::FromSeconds(spec_.start_seconds));
   attack->Start();
   RunFor(seconds);
 

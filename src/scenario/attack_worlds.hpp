@@ -95,8 +95,6 @@ struct SybilSpec {
   int threshold = 100;
   bsattack::SerialSybilConfig attack;
   std::uint32_t attacker_ip = 0x0a000002;
-  /// The attack starts here; before it, the target boots undisturbed.
-  double start_seconds = 0.0;
   /// Shared by the scheduler, the network and the target.
   bsobs::MetricsRegistry* metrics = nullptr;
   /// Shared by the target and the attacker.
@@ -118,7 +116,7 @@ class SybilWorld : public AttackWorld {
  public:
   explicit SybilWorld(SybilSpec spec);
 
-  /// Run to spec.start_seconds, start the attack, run `seconds` more.
+  /// Start the attack and run `seconds`.
   SybilOutcome Run(double seconds);
 
   std::unique_ptr<bsnet::Node> target;

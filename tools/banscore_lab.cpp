@@ -957,10 +957,10 @@ int RunTimeline(const Flags& flags) {
     spec.seed = seed;
     spec.tracer = &tracer;
     spec.attacker_ip = bsscenario::DefameWorld::kAttackerIp;
-    spec.start_seconds = 5;
     spec.attack.max_identifiers = 2;
     sybil = std::make_unique<bsscenario::SybilWorld>(spec);
     target = sybil->target.get();
+    sybil->RunFor(5);
     sybil->Run(20);
   } else {
     std::fprintf(stderr, "timeline: unknown --scenario '%s'\n", scenario.c_str());
