@@ -124,6 +124,7 @@ DefameOutcome DefameWorld::DefamePost() {
   if (!out.session_found) return out;
   // Copy the identifier now: a ban destroys the Peer.
   out.identifier = outbound->remote;
+  out.good_score = target->Tracker().GoodScore(outbound->id);
   post_ = std::make_unique<bsattack::PostConnectionDefamation>(
       *attacker, outbound->conn->Local(), outbound->remote);
   post_->SetSpanTracer(spec_.tracer);

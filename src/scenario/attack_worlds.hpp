@@ -143,6 +143,7 @@ struct DefameSpec {
 struct DefameOutcome {
   bsnet::Endpoint identifier;  // the defamed [IP:Port]
   bool session_found = true;   // post: the target had an outbound session to it
+  int good_score = 0;          // post: the session's good score before the injection
   bool injected = false;       // post: the forged frame went into that session
   bool banned = false;
 };

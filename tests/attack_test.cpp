@@ -62,6 +62,7 @@ double MiningUnderFlood(BmDosConfig::Payload payload) {
   bsscenario::BmDosSpec spec = MiningVictim();
   spec.flood.payload = payload;
   bsscenario::BmDosWorld world(spec);
+  world.cpu->SetActiveConnections(0);  // the flood's cost alone
   world.StartFlood();
   world.RunFor(2);  // warm up
   return world.MiningWindow(5).mining_rate_hps;
@@ -100,6 +101,7 @@ TEST_F(AttackFixture, PingFloodRateRespectsPipelineCap) {
 }
 
 TEST_F(AttackFixture, BogusBlockFloodConsumesVictimCpuWithoutBans) {
+  world.cpu->SetActiveConnections(1);  // the flood's session alone
   BmDosConfig config;
   config.payload = BmDosConfig::Payload::kBogusBlock;
   world.StartFlood(config);

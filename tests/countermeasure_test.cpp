@@ -170,18 +170,11 @@ TEST(Countermeasures, GoodScoreDefamationEndToEnd) {
   const bsscenario::DefameOutcome out = world.DefamePost();
 
   ASSERT_TRUE(out.session_found);
+  ASSERT_GE(out.good_score, 1);  // the target fetched the innocent's block
   EXPECT_TRUE(out.injected);
   EXPECT_FALSE(out.banned);
-  Node& target = *world.target;
-  EXPECT_EQ(target.PeersBanned(), 0u);
-  // The peer connection survived, with the good score (one fetched block)
-  // that exempted it.
-  ASSERT_EQ(target.OutboundCount(), 1u);
-  for (const Peer* p : target.Peers()) {
-    if (!p->inbound) {
-      EXPECT_GE(target.Tracker().GoodScore(p->id), 1);
-    }
-  }
+  EXPECT_EQ(world.target->PeersBanned(), 0u);
+  EXPECT_EQ(world.target->OutboundCount(), 1u);  // the peer connection survived
 }
 
 }  // namespace
