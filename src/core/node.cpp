@@ -63,8 +63,11 @@ Node::Node(bsim::Scheduler& sched, std::unique_ptr<Transport> owned,
         p.ladder_step = config_.partition_ladder_step;
         return p;
       }()),
-      trace_(config_.trace_capacity),
       tracer_(config_.span_tracer),
+      owned_log_(tracer_ == nullptr
+                     ? std::make_unique<bsobs::SpanLog>(config_.trace_capacity)
+                     : nullptr),
+      log_(tracer_ != nullptr ? &tracer_->Log() : owned_log_.get()),
       profiler_(config_.profiler) {
   tracker_.SetMaxEntries(config_.tracker_max_entries);
   if (config_.governor_cycles_per_sec > 0) {
@@ -234,8 +237,8 @@ void Node::MarkDisconnect(Peer& peer, bool reset) {
   peer.conn = nullptr;
   reap_.push_back(peer.id);
   m_peers_gauge_->Set(static_cast<double>(peers_.size() - reap_.size()));
-  trace_.Record(Sched().Now(), bsobs::EventType::kPeerDisconnected, peer.id,
-                static_cast<std::int64_t>(peer.remote.ip), was_outbound ? 0 : 1);
+  RecordSpan(bsobs::SpanKind::kDisconnected, peer.id,
+             static_cast<std::int64_t>(peer.remote.ip), was_outbound ? 0 : 1);
   if (reset) conn->Reset();
 }
 
@@ -353,9 +356,9 @@ bool Node::EvictInboundPeer() {
   Peer* victim = victim_id ? LivePeer(*victim_id) : nullptr;
   if (victim == nullptr) return false;
   m_evictions_->Inc();
-  trace_.Record(Sched().Now(), bsobs::EventType::kPeerEvicted, victim->id,
-                static_cast<std::int64_t>(victim->remote.ip),
-                static_cast<std::int64_t>(NetGroup(victim->remote.ip)));
+  RecordSpan(bsobs::SpanKind::kEvicted, victim->id,
+             static_cast<std::int64_t>(victim->remote.ip),
+             static_cast<std::int64_t>(NetGroup(victim->remote.ip)));
   if (on_peer_evicted) on_peer_evicted(*victim);
   MarkDisconnect(*victim, /*reset=*/true);
   return true;
@@ -446,8 +449,8 @@ Peer& Node::RegisterPeer(TransportConn& conn, bool inbound, bool feeler) {
   Peer* raw = peer.get();
   peers_.emplace(id, std::move(peer));
   m_peers_gauge_->Set(static_cast<double>(peers_.size() - reap_.size()));
-  trace_.Record(Sched().Now(), bsobs::EventType::kPeerConnected, id,
-                static_cast<std::int64_t>(raw->remote.ip), inbound ? 1 : 0);
+  RecordSpan(bsobs::SpanKind::kConnected, id, static_cast<std::int64_t>(raw->remote.ip),
+             inbound ? 1 : 0);
 
   conn.SetDataSink([this, id](bsutil::ByteSpan data) { OnData(id, data); });
   conn.on_closed = [this, id]() {
@@ -562,8 +565,8 @@ void Node::MaintainOutbound() {
     }
     if (ConnectTo(anchor)) {
       m_anchor_redials_->Inc();
-      trace_.Record(now, bsobs::EventType::kAnchorRedial, 0,
-                    static_cast<std::int64_t>(anchor.ip), anchor.port);
+      RecordSpan(bsobs::SpanKind::kAnchor, 0, static_cast<std::int64_t>(anchor.ip),
+                 anchor.port);
     }
   }
 
@@ -581,8 +584,8 @@ void Node::MaintainOutbound() {
     if (!ConnectTo(*candidate)) break;
     if (counts_as_reconnect) {
       m_reconnects_->Inc();
-      trace_.Record(Sched().Now(), bsobs::EventType::kOutboundReconnect, 0,
-                    static_cast<std::int64_t>(candidate->ip), candidate->port);
+      RecordSpan(bsobs::SpanKind::kReconnect, 0,
+                 static_cast<std::int64_t>(candidate->ip), candidate->port);
       if (on_outbound_reconnect) on_outbound_reconnect(*candidate);
     }
   }
@@ -615,7 +618,7 @@ void Node::MaintainStaleTip(bsim::SimTime now) {
   if (!stale_tip_extra_active_ && now - last_tip_advance_ >= config_.stale_tip_timeout) {
     stale_tip_extra_active_ = true;
     m_stale_tip_events_->Inc();
-    trace_.Record(now, bsobs::EventType::kStaleTip, 0, tip);
+    RecordSpan(bsobs::SpanKind::kStaleTip, 0, tip, 0);
   }
 }
 
@@ -630,14 +633,14 @@ void Node::MaintainFeeler(bsim::SimTime now) {
   select_probe.Stop();
   if (!candidate) return;
   last_feeler_time_ = now;
-  LaunchFeeler(*candidate, now);
+  LaunchFeeler(*candidate);
 }
 
-bool Node::LaunchFeeler(const Endpoint& remote, bsim::SimTime now) {
+bool Node::LaunchFeeler(const Endpoint& remote) {
   if (!ConnectTo(remote, /*feeler=*/true)) return false;
   m_feeler_attempts_->Inc();
-  trace_.Record(now, bsobs::EventType::kFeelerProbe, 0,
-                static_cast<std::int64_t>(remote.ip), remote.port);
+  RecordSpan(bsobs::SpanKind::kFeeler, 0, static_cast<std::int64_t>(remote.ip),
+             remote.port);
   // Drop a probe that neither completed (OnOutboundHandshakeComplete closes
   // it) nor died on its own.
   Sched().After(config_.feeler_timeout, [this, remote]() {
@@ -669,14 +672,14 @@ void Node::MaintainPartition(bsim::SimTime now) {
 
   if (!was_high && partition_.SuspicionHigh()) {
     m_partition_suspect_windows_->Inc();
-    trace_.Record(now, bsobs::EventType::kPartitionSuspected, 0,
-                  static_cast<std::int64_t>(suspicion * 1000.0),
-                  static_cast<std::int64_t>(partition_.CurrentStage()));
+    RecordSpan(bsobs::SpanKind::kPartitionSuspected, 0,
+               static_cast<std::int64_t>(suspicion * 1000.0),
+               static_cast<std::int64_t>(partition_.CurrentStage()));
   }
   if (recovered) {
     m_partition_recoveries_->Inc();
-    trace_.Record(now, bsobs::EventType::kPartitionRecovered, 0, 0,
-                  static_cast<std::int64_t>(prev_stage));
+    RecordSpan(bsobs::SpanKind::kPartitionRecovered, 0, 0,
+               static_cast<std::int64_t>(prev_stage));
     partition_stage_done_ = PartitionMonitor::Stage::kNone;
     if (partition_extra_active_) {
       // The emergency slot did its job; trim back to target, dropping the
@@ -745,15 +748,15 @@ void Node::SendTipProbes(bsim::SimTime now) {
 void Node::RunPartitionStage(PartitionMonitor::Stage stage, bsim::SimTime now) {
   if (stage == PartitionMonitor::Stage::kNone) return;
   m_partition_recovery_actions_->Inc();
-  trace_.Record(now, bsobs::EventType::kPartitionSuspected, 0,
-                static_cast<std::int64_t>(partition_.Suspicion() * 1000.0),
-                static_cast<std::int64_t>(stage));
+  RecordSpan(bsobs::SpanKind::kPartitionSuspected, 0,
+             static_cast<std::int64_t>(partition_.Suspicion() * 1000.0),
+             static_cast<std::int64_t>(stage));
   switch (stage) {
     case PartitionMonitor::Stage::kNone:
       return;
     case PartitionMonitor::Stage::kFeelerBurst:
       for (int i = 0; i < config_.partition_feeler_burst; ++i) {
-        if (!LaunchTargetedFeeler(now)) break;
+        if (!LaunchTargetedFeeler()) break;
       }
       return;
     case PartitionMonitor::Stage::kAnchorRedial:
@@ -786,7 +789,7 @@ void Node::RunPartitionStage(PartitionMonitor::Stage stage, bsim::SimTime now) {
   }
 }
 
-bool Node::LaunchTargetedFeeler(bsim::SimTime now) {
+bool Node::LaunchTargetedFeeler() {
   bsobs::ScopedProbe select_probe(profiler_, bsobs::HotStage::kAddrmanSelect);
   const auto candidate = addrman_.SelectNew([this](const Endpoint& ep) {
     return !banman_.IsBanned(ep, Sched().Now()) &&
@@ -794,7 +797,7 @@ bool Node::LaunchTargetedFeeler(bsim::SimTime now) {
            !OutboundGroupTaken(NetGroup(ep.ip));
   });
   select_probe.Stop();
-  return candidate && LaunchFeeler(*candidate, now);
+  return candidate && LaunchFeeler(*candidate);
 }
 
 void Node::HandleTipProbe(Peer& peer, const bsproto::TipProbeMsg& msg) {
@@ -803,8 +806,7 @@ void Node::HandleTipProbe(Peer& peer, const bsproto::TipProbeMsg& msg) {
     std::int32_t best = msg.tips.front().height;
     for (const auto& tip : msg.tips) best = std::max(best, tip.height);
     partition_.OnProbeObservation(Sched().Now(), peer.id, best);
-    trace_.Record(Sched().Now(), bsobs::EventType::kPartitionProbe, peer.id,
-                  best, chain_.TipHeight());
+    RecordSpan(bsobs::SpanKind::kPartitionProbe, peer.id, best, chain_.TipHeight());
     if (is_reply) m_partition_probe_replies_->Inc();
   }
   if (is_reply) return;
@@ -967,8 +969,7 @@ void Node::OnData(std::uint64_t peer_id, bsutil::ByteSpan data) {
   peer.rx.Feed(data);
   if (const std::uint64_t shed = peer.rx.OverflowBytes() - shed_before; shed > 0) {
     m_rx_shed_bytes_->Inc(shed);
-    trace_.Record(Sched().Now(), bsobs::EventType::kRxShed, peer_id,
-                  static_cast<std::int64_t>(shed));
+    RecordSpan(bsobs::SpanKind::kRxShed, peer_id, static_cast<std::int64_t>(shed), 0);
   }
 
   // `peer` outlives this call: a ban only marks it, and the turn opened
@@ -1000,15 +1001,16 @@ void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
   if (on_frame) on_frame(frame_bytes, frame.status);
   bsobs::ScopedProbe frame_probe(profiler_, bsobs::HotStage::kFrameProcess);
 
-  // Causal tracing: claim the context the sender registered for this stream
-  // position and open the frame's own span. rx_ctx_ stays valid for the rest
-  // of this frame — sends and misbehavior the handler triggers become its
-  // children — and resets on every exit path.
+  // Record the frame. With a tracer, claim the context the sender registered
+  // for this stream position; the frame's span (rx_ctx_) stays valid for the
+  // rest of this frame — sends and misbehavior the handler triggers become
+  // its children — and resets on every exit path.
   struct RxCtxReset {
     bsobs::TraceContext& ctx;
     ~RxCtxReset() { ctx = {}; }
   } rx_ctx_reset{rx_ctx_};
   bsobs::SpanClaim claim;
+  std::uint8_t flags = 0;
   if (tracer_ != nullptr && peer.conn != nullptr) {
     const Endpoint remote = peer.conn->Remote();
     const Endpoint local = peer.conn->Local();
@@ -1016,26 +1018,15 @@ void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
         bsobs::SpanStreamKey{bsobs::PackEndpoint(remote.ip, remote.port),
                              bsobs::PackEndpoint(local.ip, local.port)},
         stream_offset, static_cast<std::uint32_t>(frame_bytes));
-    rx_ctx_ = claim.ctx.Valid() ? tracer_->Child(claim.ctx) : tracer_->Begin();
-    bsobs::SpanRecord rec;
-    rec.time = Sched().Now();
-    rec.trace_id = rx_ctx_.trace_id;
-    rec.span_id = rx_ctx_.span_id;
-    rec.parent_span = claim.ctx.span_id;  // 0 when orphan
-    rec.kind = frame.status == DecodeStatus::kOk ? bsobs::SpanKind::kReceive
-                                                 : bsobs::SpanKind::kDrop;
-    rec.flags = static_cast<std::uint8_t>(
-        (claim.ctx.Valid() ? 0 : bsobs::kFlagOrphan) |
-        (claim.resync ? bsobs::kFlagResync : 0));
-    rec.msg_type = frame.status == DecodeStatus::kOk
-                       ? static_cast<std::int16_t>(bsproto::MsgTypeOf(frame.message))
-                       : -1;
-    rec.node_ip = Ip();
-    rec.peer_id = peer.id;
-    rec.a = static_cast<std::int64_t>(frame.status);
-    rec.b = static_cast<std::int64_t>(frame_bytes);
-    tracer_->Log().Record(rec);
+    flags = static_cast<std::uint8_t>((claim.ctx.Valid() ? 0 : bsobs::kFlagOrphan) |
+                                      (claim.resync ? bsobs::kFlagResync : 0));
   }
+  const bool intact = frame.status == DecodeStatus::kOk;
+  rx_ctx_ = RecordSpan(
+      intact ? bsobs::SpanKind::kReceive : bsobs::SpanKind::kDrop, peer.id,
+      static_cast<std::int64_t>(frame.status), static_cast<std::int64_t>(frame_bytes),
+      claim.ctx, flags,
+      intact ? static_cast<std::int16_t>(bsproto::MsgTypeOf(frame.message)) : -1);
 
   m_frame_bytes_->Observe(static_cast<double>(frame_bytes));
   // Resource governance: the frame must fit the peer's token buckets and
@@ -1045,11 +1036,7 @@ void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
   // frame before the node sees it, on both transports. The bytes stay
   // visible to on_frame above (they did arrive on the wire, and the detect
   // engine watches the wire).
-  if (!AdmitFrame(peer, frame, frame_bytes)) {
-    RecordSpan(bsobs::SpanKind::kShed, peer, -1, 0,
-               static_cast<std::int64_t>(frame_bytes), 0);
-    return;
-  }
+  if (!AdmitFrame(peer, frame, frame_bytes)) return;
 
   if (frame.status != DecodeStatus::kOk) {
     switch (frame.status) {
@@ -1067,9 +1054,6 @@ void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
         if (frame.status == DecodeStatus::kOversize) m_codec_oversize_->Inc();
         break;
     }
-    trace_.Record(Sched().Now(), bsobs::EventType::kFrameDropped, peer.id,
-                  static_cast<std::int64_t>(frame.status),
-                  static_cast<std::int64_t>(frame_bytes));
     if (cpu_) cpu_->ConsumeMessage(checksum_cycles);
     // The bogus-message loophole: dropped with no ban-score consequence —
     // unless the ablation flips the order and punishes it.
@@ -1088,9 +1072,6 @@ void Node::ProcessFrame(Peer& peer, const bsproto::DecodeResult& frame,
   m_msg_type_[static_cast<std::size_t>(type)]->Inc();
   ++message_counts_[type];
   peer.last_recv_time = Sched().Now();
-  trace_.Record(Sched().Now(), bsobs::EventType::kFrameDecoded, peer.id,
-                static_cast<std::int64_t>(type),
-                static_cast<std::int64_t>(frame_bytes));
   if (on_message) on_message(peer, type, frame.header.length);
 
   ProcessMessage(peer, frame.message);
@@ -1158,8 +1139,8 @@ bool Node::AdmitFrame(Peer& peer, const bsproto::DecodeResult& frame,
   m_ratelimit_bytes_->Inc(frame_bytes);
   if (governor_shed) m_governor_shed_frames_->Inc();
   if (cpu_) cpu_->ConsumeCycles(kRateLimitDropCycles);
-  trace_.Record(now, bsobs::EventType::kRateLimited, peer.id,
-                static_cast<std::int64_t>(frame_bytes), governor_shed ? 1 : 0);
+  RecordSpan(bsobs::SpanKind::kShed, peer.id, static_cast<std::int64_t>(frame_bytes),
+             governor_shed ? 1 : 0, rx_ctx_);
   if (on_frame_shed) on_frame_shed(peer, frame_bytes, governor_shed);
   return false;
 }
@@ -1190,8 +1171,8 @@ void Node::ApplyMisbehavior(Peer& peer, Misbehavior what) {
     }
     if (tracker_.GoodScore(peer.id) > 0) {
       m_partition_deferred_penalties_->Inc();
-      trace_.Record(now, bsobs::EventType::kPenaltyDeferred, peer.id,
-                    static_cast<std::int64_t>(what), tracker_.GoodScore(peer.id));
+      RecordSpan(bsobs::SpanKind::kPenaltyDeferred, peer.id,
+                 static_cast<std::int64_t>(what), tracker_.GoodScore(peer.id));
       return;
     }
   }
@@ -1201,23 +1182,9 @@ void Node::ApplyMisbehavior(Peer& peer, Misbehavior what) {
   // The misbehavior point, and the ban it may trip, extend the causal chain
   // of the frame being processed: ban ← misbehavior ← receive ← send/inject.
   bsobs::TraceContext mis_ctx{};
-  if (tracer_ != nullptr && outcome.rule_applied) {
-    mis_ctx = rx_ctx_.Valid() ? tracer_->Child(rx_ctx_) : tracer_->Begin();
-    bsobs::SpanRecord rec;
-    rec.time = Sched().Now();
-    rec.trace_id = mis_ctx.trace_id;
-    rec.span_id = mis_ctx.span_id;
-    rec.parent_span = rx_ctx_.span_id;
-    rec.kind = bsobs::SpanKind::kMisbehavior;
-    rec.node_ip = Ip();
-    rec.peer_id = peer.id;
-    rec.a = outcome.score_delta;
-    rec.b = outcome.total_score;
-    tracer_->Log().Record(rec);
-  }
   if (outcome.rule_applied) {
-    trace_.Record(Sched().Now(), bsobs::EventType::kMisbehavior, peer.id,
-                  outcome.score_delta, outcome.total_score);
+    mis_ctx = RecordSpan(bsobs::SpanKind::kMisbehavior, peer.id, outcome.score_delta,
+                         outcome.total_score, rx_ctx_);
     if (on_misbehavior) on_misbehavior(peer, what, outcome);
   }
   if (!outcome.should_ban) return;
@@ -1225,30 +1192,12 @@ void Node::ApplyMisbehavior(Peer& peer, Misbehavior what) {
   m_peers_banned_->Inc();
   if (config_.use_discouragement) {
     banman_.Discourage(peer.remote.ip);
-    trace_.Record(Sched().Now(), bsobs::EventType::kPeerDiscouraged, peer.id,
-                  static_cast<std::int64_t>(peer.remote.ip), outcome.total_score);
   } else {
     banman_.Ban(peer.remote, Sched().Now() + config_.ban_duration);
-    trace_.Record(Sched().Now(), bsobs::EventType::kPeerBanned, peer.id,
-                  static_cast<std::int64_t>(peer.remote.ip), outcome.total_score);
   }
-  if (tracer_ != nullptr) {
-    const bsobs::TraceContext parent = mis_ctx.Valid() ? mis_ctx : rx_ctx_;
-    const bsobs::TraceContext ban_ctx =
-        parent.Valid() ? tracer_->Child(parent) : tracer_->Begin();
-    bsobs::SpanRecord rec;
-    rec.time = Sched().Now();
-    rec.trace_id = ban_ctx.trace_id;
-    rec.span_id = ban_ctx.span_id;
-    rec.parent_span = parent.span_id;
-    rec.kind = bsobs::SpanKind::kBan;
-    rec.flags = config_.use_discouragement ? bsobs::kFlagDiscouraged : 0;
-    rec.node_ip = Ip();
-    rec.peer_id = peer.id;
-    rec.a = static_cast<std::int64_t>(peer.remote.ip);
-    rec.b = outcome.total_score;
-    tracer_->Log().Record(rec);
-  }
+  RecordSpan(bsobs::SpanKind::kBan, peer.id, static_cast<std::int64_t>(peer.remote.ip),
+             outcome.total_score, mis_ctx.Valid() ? mis_ctx : rx_ctx_,
+             config_.use_discouragement ? bsobs::kFlagDiscouraged : 0);
   if (on_peer_banned) on_peer_banned(peer);
   MarkDisconnect(peer, /*reset=*/true);
 }
@@ -1736,54 +1685,47 @@ void Node::SendTo(Peer& peer, const Message& msg) {
   TurnScope turn(*this);
   if (peer.conn == nullptr || !peer.conn->IsEstablished()) return;
   const bsutil::ByteVec bytes = bsproto::EncodeMessage(config_.chain.magic, msg);
+  // A send triggered by an in-flight frame (PONG, INV relay, GETDATA, ...)
+  // continues that frame's trace; anything else roots a new one.
+  const bsobs::TraceContext ctx =
+      RecordSpan(bsobs::SpanKind::kSend, peer.id, static_cast<std::int64_t>(bytes.size()),
+                 0, rx_ctx_, 0, static_cast<std::int16_t>(bsproto::MsgTypeOf(msg)));
   if (tracer_ != nullptr) {
     // Register the frame's stream position so the receiver can claim this
-    // context when its decoder reaches the same offset. A send triggered by
-    // an in-flight frame (PONG, INV relay, GETDATA, ...) continues that
-    // frame's trace; anything else roots a new one.
-    const bsobs::TraceContext ctx =
-        rx_ctx_.Valid() ? tracer_->Child(rx_ctx_) : tracer_->Begin();
+    // context when its decoder reaches the same offset.
     const Endpoint local = peer.conn->Local();
     const Endpoint remote = peer.conn->Remote();
     tracer_->NoteFrameSent(
         bsobs::SpanStreamKey{bsobs::PackEndpoint(local.ip, local.port),
                              bsobs::PackEndpoint(remote.ip, remote.port)},
         peer.tx_stream_offset, static_cast<std::uint32_t>(bytes.size()), ctx);
-    bsobs::SpanRecord rec;
-    rec.time = Sched().Now();
-    rec.trace_id = ctx.trace_id;
-    rec.span_id = ctx.span_id;
-    rec.parent_span = rx_ctx_.span_id;  // 0 when this send roots the trace
-    rec.kind = bsobs::SpanKind::kSend;
-    rec.msg_type = static_cast<std::int16_t>(bsproto::MsgTypeOf(msg));
-    rec.node_ip = Ip();
-    rec.peer_id = peer.id;
-    rec.a = static_cast<std::int64_t>(bytes.size());
-    tracer_->Log().Record(rec);
   }
   peer.tx_stream_offset += bytes.size();
   peer.conn->Send(bytes);
 }
 
-void Node::RecordSpan(bsobs::SpanKind kind, const Peer& peer,
-                      std::int16_t msg_type, std::uint8_t flags, std::int64_t a,
-                      std::int64_t b) {
-  if (tracer_ == nullptr) return;
-  const bsobs::TraceContext ctx =
-      rx_ctx_.Valid() ? tracer_->Child(rx_ctx_) : tracer_->Begin();
+bsobs::TraceContext Node::RecordSpan(bsobs::SpanKind kind, std::uint64_t peer_id,
+                                     std::int64_t a, std::int64_t b,
+                                     const bsobs::TraceContext& parent,
+                                     std::uint8_t flags, std::int16_t msg_type) {
   bsobs::SpanRecord rec;
   rec.time = Sched().Now();
-  rec.trace_id = ctx.trace_id;
-  rec.span_id = ctx.span_id;
-  rec.parent_span = rx_ctx_.span_id;
   rec.kind = kind;
   rec.flags = flags;
   rec.msg_type = msg_type;
   rec.node_ip = Ip();
-  rec.peer_id = peer.id;
+  rec.peer_id = peer_id;
   rec.a = a;
   rec.b = b;
-  tracer_->Log().Record(rec);
+  bsobs::TraceContext ctx;
+  if (tracer_ != nullptr && bsobs::IsCausal(kind)) {
+    ctx = parent.Valid() ? tracer_->Child(parent) : tracer_->Begin();
+    rec.trace_id = ctx.trace_id;
+    rec.span_id = ctx.span_id;
+    rec.parent_span = parent.span_id;  // 0 when this span roots its trace
+  }
+  log_->Record(rec);
+  return ctx;
 }
 
 bool Node::SendToRemoteIp(std::uint32_t ip, const Message& msg) {

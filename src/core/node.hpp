@@ -42,7 +42,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "proto/bloom.hpp"
 #include "proto/codec.hpp"
 #include "proto/compact.hpp"
@@ -226,12 +225,14 @@ struct NodeConfig {
   /// per-node stats stay independent; experiments that want one scrapeable
   /// registry inject a shared one here (the node does not take ownership).
   bsobs::MetricsRegistry* metrics = nullptr;
-  /// Event-trace ring capacity (0 disables tracing).
+  /// Capacity of the node's own event ring, used when no span_tracer is
+  /// attached (0 records nothing).
   std::size_t trace_capacity = 1024;
   /// Causal span tracer (obs/span.hpp), usually one shared by every node in
-  /// the simulation so cross-node chains land in one log. Null (the default)
-  /// disables tracing entirely: the hot paths pay one pointer test and
-  /// allocate nothing. Not owned.
+  /// the simulation so cross-node chains land in one log; the node then
+  /// writes its events there instead of to a ring of its own. Null (the
+  /// default): the records carry no ids and nothing is registered per
+  /// frame. Not owned.
   bsobs::SpanTracer* span_tracer = nullptr;
   /// Hot-path profiler (obs/profiler.hpp) timing codec decode, frame
   /// processing, tracker updates, and AddrMan select: the node's only clock
@@ -352,9 +353,11 @@ class Node {
   /// NodeConfig.metrics injected a shared one).
   bsobs::MetricsRegistry& Metrics() { return *metrics_; }
   const bsobs::MetricsRegistry& Metrics() const { return *metrics_; }
-  /// Bounded ring of typed node events (frames, misbehavior, bans, ...).
-  bsobs::EventTrace& Trace() { return trace_; }
-  const bsobs::EventTrace& Trace() const { return trace_; }
+  /// The bounded ring this node writes its events to (frames, sends,
+  /// misbehavior, bans, connections, ...): the attached SpanTracer's log,
+  /// shared with every other node on it (filter by node_ip), or its own.
+  bsobs::SpanLog& Trace() { return *log_; }
+  const bsobs::SpanLog& Trace() const { return *log_; }
 
   // ---- Connections ----
   /// Seed the address table (the config-file peers of the paper's testbed).
@@ -518,7 +521,7 @@ class Node {
   /// Launch one feeler probe per feeler_interval against a `new`-table entry.
   void MaintainFeeler(bsim::SimTime now);
   /// Dial a feeler probe to `remote` and arm its timeout.
-  bool LaunchFeeler(const Endpoint& remote, bsim::SimTime now);
+  bool LaunchFeeler(const Endpoint& remote);
 
   // ---- Partition-resilience maintenance (gated on
   // enable_partition_resilience) ----
@@ -534,7 +537,7 @@ class Node {
   void RunPartitionStage(PartitionMonitor::Stage stage, bsim::SimTime now);
   /// Open a short-lived probe toward an address in an unrepresented
   /// netgroup (the feeler-burst stage). False when no candidate exists.
-  bool LaunchTargetedFeeler(bsim::SimTime now);
+  bool LaunchTargetedFeeler();
   void HandleTipProbe(Peer& peer, const bsproto::TipProbeMsg& msg);
   /// Outbound handshake just completed: clear backoff, mark the address
   /// Good(). For a feeler the probe is finished — count the promotion and
@@ -583,10 +586,14 @@ class Node {
                     std::uint64_t stream_offset);
   void ProcessMessage(Peer& peer, const bsproto::Message& msg);
 
-  /// Span helpers (all no-ops when tracer_ is null).
-  /// Record `rec` with ids/time filled in; children of rx_ctx_ when valid.
-  void RecordSpan(bsobs::SpanKind kind, const Peer& peer, std::int16_t msg_type,
-                  std::uint8_t flags, std::int64_t a, std::int64_t b);
+  /// Write one record, stamped now, to the node's ring: the one place the
+  /// node records an event. With a tracer attached, a causal kind opens a
+  /// span under `parent` (a new trace when `parent` is invalid) and returns
+  /// it; node events, and every record with no tracer, carry id 0.
+  bsobs::TraceContext RecordSpan(bsobs::SpanKind kind, std::uint64_t peer_id,
+                                 std::int64_t a, std::int64_t b,
+                                 const bsobs::TraceContext& parent = {},
+                                 std::uint8_t flags = 0, std::int16_t msg_type = -1);
 
   /// Apply a misbehavior; bans and disconnects on threshold per policy.
   void ApplyMisbehavior(Peer& peer, Misbehavior what);
@@ -684,8 +691,9 @@ class Node {
   // ---- Observability state ----
   std::unique_ptr<bsobs::MetricsRegistry> owned_metrics_;  // null when injected
   bsobs::MetricsRegistry* metrics_ = nullptr;              // never null after ctor
-  bsobs::EventTrace trace_;
-  bsobs::SpanTracer* tracer_ = nullptr;      // null = tracing off
+  bsobs::SpanTracer* tracer_ = nullptr;      // null = no span ids
+  std::unique_ptr<bsobs::SpanLog> owned_log_;  // null when tracer_ is set
+  bsobs::SpanLog* log_ = nullptr;              // never null after ctor
   bsobs::HotpathProfiler* profiler_ = nullptr;  // null = profiling off
   /// The receive span currently being processed (valid only inside
   /// ProcessFrame); sends and misbehavior triggered by a frame's handler

@@ -26,12 +26,6 @@ void StatEngine::AttachMetrics(bsobs::MetricsRegistry& registry) {
                             "Profile training latency");
 }
 
-void StatEngine::AttachTrace(bsobs::EventTrace& trace,
-                             std::function<bsim::SimTime()> clock) {
-  trace_ = &trace;
-  trace_clock_ = std::move(clock);
-}
-
 bool StatEngine::Train(const std::vector<FeatureWindow>& windows) {
   bsobs::ScopedTimer timer(m_train_seconds_);
   if (windows.size() < 2) return false;
@@ -196,15 +190,6 @@ DetectionResult StatEngine::Detect(const FeatureWindow& window) const {
 
 DetectionResult StatEngine::DetectAndAlert(const FeatureWindow& window) {
   const DetectionResult result = Detect(window);
-  if (trace_ != nullptr) {
-    // a: verdict bitmask (1 = BM-DoS suspected, 2 = Defamation suspected);
-    // b: message rate of the tested window (rounded).
-    const std::int64_t verdict = (result.bmdos_suspected ? 1 : 0) |
-                                 (result.defamation_suspected ? 2 : 0);
-    trace_->Record(trace_clock_ ? trace_clock_() : 0,
-                   bsobs::EventType::kDetectionVerdict, 0, verdict,
-                   static_cast<std::int64_t>(result.n));
-  }
   if (result.anomalous && on_alert) on_alert(result);
   return result;
 }

@@ -20,7 +20,6 @@
 #include "detect/features.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/trace.hpp"
 #include "util/bytes.hpp"
 #include "util/stats.hpp"
 
@@ -80,9 +79,6 @@ class StatEngine {
   /// Publish engine metrics into `registry` (bs_detect_* series), including
   /// the per-call detection-latency histogram.
   void AttachMetrics(bsobs::MetricsRegistry& registry);
-  /// Record kDetectionVerdict events into `trace`; `clock` supplies the sim
-  /// time stamped on each event (the engine itself is clock-agnostic).
-  void AttachTrace(bsobs::EventTrace& trace, std::function<bsim::SimTime()> clock);
   /// Hot-path profiler: each Detect() is timed under HotStage::kDetectTick.
   /// Null (the default) disables. Not owned.
   void SetProfiler(bsobs::HotpathProfiler* profiler) { profiler_ = profiler; }
@@ -98,8 +94,6 @@ class StatEngine {
   bsobs::Counter* m_trainings_total_ = nullptr;
   bsobs::Histogram* m_detect_seconds_ = nullptr;
   bsobs::Histogram* m_train_seconds_ = nullptr;
-  bsobs::EventTrace* trace_ = nullptr;
-  std::function<bsim::SimTime()> trace_clock_;
 };
 
 }  // namespace bsdetect

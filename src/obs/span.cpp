@@ -1,43 +1,49 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 
 namespace bsobs {
 
 const char* ToString(SpanKind kind) {
   switch (kind) {
-    case SpanKind::kSend:
-      return "send";
-    case SpanKind::kInject:
-      return "inject";
-    case SpanKind::kReceive:
-      return "recv";
-    case SpanKind::kDrop:
-      return "drop";
-    case SpanKind::kShed:
-      return "shed";
-    case SpanKind::kMisbehavior:
-      return "misbehavior";
-    case SpanKind::kBan:
-      return "ban";
-    case SpanKind::kDetect:
-      return "detect";
+    case SpanKind::kSend: return "send";
+    case SpanKind::kInject: return "inject";
+    case SpanKind::kReceive: return "recv";
+    case SpanKind::kDrop: return "drop";
+    case SpanKind::kShed: return "shed";
+    case SpanKind::kMisbehavior: return "misbehavior";
+    case SpanKind::kBan: return "ban";
+    case SpanKind::kConnected: return "connected";
+    case SpanKind::kDisconnected: return "disconnected";
+    case SpanKind::kReconnect: return "reconnect";
+    case SpanKind::kRxShed: return "rx-shed";
+    case SpanKind::kEvicted: return "evicted";
+    case SpanKind::kFeeler: return "feeler";
+    case SpanKind::kAnchor: return "anchor";
+    case SpanKind::kStaleTip: return "stale-tip";
+    case SpanKind::kPartitionProbe: return "partition-probe";
+    case SpanKind::kPartitionSuspected: return "partition-suspected";
+    case SpanKind::kPartitionRecovered: return "partition-recovered";
+    case SpanKind::kPenaltyDeferred: return "penalty-deferred";
   }
   return "?";
 }
 
-SpanLog::SpanLog(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
+SpanLog::SpanLog(std::size_t capacity) : capacity_(capacity) {
   ring_.reserve(std::min<std::size_t>(capacity_, 1024));
 }
 
 void SpanLog::Record(const SpanRecord& rec) {
+  if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (ring_.size() < capacity_) {
     ring_.push_back(rec);
   } else {
-    ring_[next_ % capacity_] = rec;
+    ring_[next_] = rec;  // overwrite the oldest
+    next_ = (next_ + 1) % capacity_;
   }
-  ++next_;
   ++recorded_;
 }
 
@@ -60,14 +66,9 @@ std::vector<SpanRecord> SpanLog::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SpanRecord> out;
   out.reserve(ring_.size());
-  if (ring_.size() < capacity_) {
-    out = ring_;
-  } else {
-    const std::size_t head = next_ % capacity_;  // oldest element
-    out.insert(out.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head),
-               ring_.end());
-    out.insert(out.end(), ring_.begin(),
-               ring_.begin() + static_cast<std::ptrdiff_t>(head));
+  // next_ is the oldest slot once the ring has wrapped, 0 before.
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    out.push_back(ring_[(next_ + i) % ring_.size()]);
   }
   return out;
 }
@@ -77,6 +78,35 @@ void SpanLog::Clear() {
   ring_.clear();
   next_ = 0;
   recorded_ = 0;
+}
+
+std::string SpanLog::Render(std::size_t max_records) const {
+  const std::vector<SpanRecord> records = Snapshot();
+  const std::size_t first =
+      records.size() > max_records ? records.size() - max_records : 0;
+  std::string out;
+  char line[192];
+  std::snprintf(line, sizeof(line),
+                "span log: %zu/%zu retained, %" PRIu64 " recorded, %" PRIu64
+                " dropped\n",
+                records.size(), capacity_, Recorded(), Dropped());
+  out += line;
+  for (std::size_t i = first; i < records.size(); ++i) {
+    const SpanRecord& rec = records[i];
+    std::snprintf(line, sizeof(line),
+                  "  t=%.6fs %-19s peer=%" PRIu64 " a=%" PRId64 " b=%" PRId64,
+                  bsim::ToSeconds(rec.time), ToString(rec.kind), rec.peer_id, rec.a,
+                  rec.b);
+    out += line;
+    if (rec.trace_id != 0) {
+      std::snprintf(line, sizeof(line),
+                    " trace=%" PRIu64 " span=%" PRIu64 " parent=%" PRIu64,
+                    rec.trace_id, rec.span_id, rec.parent_span);
+      out += line;
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 SpanTracer::SpanTracer(std::size_t log_capacity) : log_(log_capacity) {}

@@ -1,8 +1,13 @@
-// bsobs — causal message tracing: a lightweight trace context (trace_id +
-// span_id) stamped onto every simulated frame at send time and matched back
-// to the frame when the receiving node decodes it, so the full cross-node
-// lineage of an incident — attacker INV → victim misbehavior point → ban —
-// is reconstructible from one bounded SpanLog after the run.
+// bsobs — the node event ring and causal message tracing.
+//
+// Every node writes what happens to it (frames received, sent and dropped,
+// misbehavior points, bans, connections, ...) once, as a SpanRecord, into a
+// bounded SpanLog: its own, or the log of an attached SpanTracer that every
+// node in a simulation shares. The tracer adds a lightweight trace context
+// (trace_id + span_id) stamped onto every simulated frame at send time and
+// matched back to the frame when the receiving node decodes it, so the full
+// cross-node lineage of an incident — attacker INV → victim misbehavior
+// point → ban — is reconstructible from that one log after the run.
 //
 // Design rules:
 //   * Zero wire impact. The trace context never touches the byte stream; the
@@ -21,8 +26,8 @@
 //     investigation needs.
 //   * Bounded memory. The SpanLog is a wraparound ring; pending per-stream
 //     frame registrations are capped per connection with drop-oldest.
-//   * Off by default. A node with no SpanTracer attached takes one null
-//     pointer branch per send/receive and allocates nothing.
+//   * Ids are optional. A node with no SpanTracer attached records the same
+//     events with id 0 and registers nothing per frame.
 #pragma once
 
 #include <cstdint>
@@ -45,17 +50,34 @@ struct TraceContext {
   bool Valid() const { return trace_id != 0; }
 };
 
+/// What a record says happened. kSend through kBan are causal spans: with a
+/// tracer attached they carry trace/span ids and name their parent. The
+/// kinds after kBan are node events outside any chain and always carry id 0.
 enum class SpanKind : std::uint8_t {
   kSend = 0,     // a node put a frame on its own stream     a = frame bytes
   kInject,       // an attacker spoofed a frame into a
-                 // stream that is not its own               a = frame bytes
-  kReceive,      // a decoded (kOk) frame reached a handler  a = msg type, b = bytes
-  kDrop,         // a frame was dropped before its handler   a = decode status, b = bytes
-  kShed,         // rate-limit/governor shed an intact frame a = frame bytes
+                 // stream that is not its own               a = frame bytes, b = spoofed ip
+  kReceive,      // a frame decoded intact                   a = decode status (kOk), b = bytes
+  kDrop,         // a frame failed decode                    a = decode status, b = bytes
+  kShed,         // rate limit or governor shed a frame      a = frame bytes, b = 1 when the governor shed it
   kMisbehavior,  // a misbehavior point landed               a = score delta, b = total
   kBan,          // the threshold banned/discouraged a peer  a = peer ip, b = total score
-  kDetect,       // a detection verdict fired                a = anomalous, b = flags
+  kConnected,           // a = peer ip, b = 1 when inbound
+  kDisconnected,        // a = peer ip, b = 1 when inbound
+  kReconnect,           // a = dialed ip, b = port
+  kRxShed,              // a = bytes shed from a peer's receive buffer
+  kEvicted,             // a = evicted peer's ip, b = its /16 netgroup
+  kFeeler,              // a = probed ip, b = port
+  kAnchor,              // a = anchor ip, b = port
+  kStaleTip,            // a = stalled tip height
+  kPartitionProbe,      // a = remote tip height, b = our tip height
+  kPartitionSuspected,  // a = suspicion ×1000, b = ladder stage
+  kPartitionRecovered,  // b = last ladder stage reached
+  kPenaltyDeferred,     // a = misbehavior id, b = peer good score
 };
+
+/// True for the kinds that take part in causal chains (kSend..kBan).
+constexpr bool IsCausal(SpanKind kind) { return kind <= SpanKind::kBan; }
 
 const char* ToString(SpanKind kind);
 
@@ -64,9 +86,11 @@ constexpr std::uint8_t kFlagOrphan = 1;       // no matching send entry found
 constexpr std::uint8_t kFlagResync = 2;       // matched by length, not offset
 constexpr std::uint8_t kFlagDiscouraged = 4;  // kBan used discouragement
 
-/// One fixed-size span record. `parent_span` is 0 at a trace root. `node_ip`
-/// is the node that recorded the span (spans from every node in the sim land
-/// in one log, which is what makes cross-node chains walkable).
+/// One fixed-size record. `parent_span` is 0 at a trace root; all three ids
+/// are 0 on node events and on records written with no tracer attached.
+/// `node_ip` is the node that wrote it (with a tracer, every node in the sim
+/// writes to one log, which is what makes cross-node chains walkable).
+/// `peer_id` is 0 for node-global events.
 struct SpanRecord {
   bsim::SimTime time = 0;
   std::uint64_t trace_id = 0;
@@ -81,9 +105,9 @@ struct SpanRecord {
   std::int64_t b = 0;
 };
 
-/// Bounded wraparound ring of SpanRecords (same memory discipline as
-/// EventTrace: a flooded sim keeps the newest window at fixed cost).
-/// Thread-safe.
+/// Bounded wraparound ring of SpanRecords: when full, the oldest record is
+/// overwritten and counted as dropped, so a flooded node keeps the newest
+/// window at fixed memory cost. Capacity 0 keeps nothing. Thread-safe.
 class SpanLog {
  public:
   explicit SpanLog(std::size_t capacity = 16384);
@@ -99,12 +123,16 @@ class SpanLog {
   std::vector<SpanRecord> Snapshot() const;
   void Clear();
 
+  /// Human-readable dump of the retained records (one line each), the newest
+  /// `max_records` when the ring holds more.
+  std::string Render(std::size_t max_records = 32) const;
+
  private:
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::vector<SpanRecord> ring_;
-  std::size_t next_ = 0;
-  std::uint64_t recorded_ = 0;
+  std::size_t next_ = 0;        // write cursor once the ring is full
+  std::uint64_t recorded_ = 0;  // total ever
 };
 
 /// One TCP application stream, as named by its *sender*: (src, dst) with

@@ -1,6 +1,6 @@
 // Tests for bsobs: metric cell semantics, histogram bucket boundaries,
-// registry handle rules, exporter golden strings, trace-ring wraparound and
-// a concurrent-increment smoke test. Also covers the Monitor::ExportCsv
+// registry handle rules, exporter golden strings and a concurrent-increment
+// smoke test (the event ring is tested with SpanLog in span_test). Also covers the Monitor::ExportCsv
 // unwritable-path branch (it reports failure via the structured logger).
 #include <gtest/gtest.h>
 
@@ -14,20 +14,16 @@
 #include "detect/monitor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "obs/trace.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 
 namespace {
 
 using bsobs::Counter;
-using bsobs::EventTrace;
-using bsobs::EventType;
 using bsobs::Gauge;
 using bsobs::Histogram;
 using bsobs::MetricsRegistry;
 using bsobs::ScopedTimer;
-using bsobs::TraceEvent;
 
 // ---------------------------------------------------------------------------
 // Cells
@@ -150,58 +146,6 @@ TEST(ObsExport, JsonGolden) {
       "{\"le\":2,\"count\":1},{\"le\":\"+Inf\",\"count\":2}],"
       "\"sum\":4,\"count\":2}}}";
   EXPECT_EQ(reg.RenderJson(), expected);
-}
-
-// ---------------------------------------------------------------------------
-// Event trace ring
-
-TEST(ObsTrace, RecordsInOrderBelowCapacity) {
-  EventTrace trace(8);
-  trace.Record(100, EventType::kPeerConnected, 1, 1);
-  trace.Record(200, EventType::kFrameDecoded, 1, 64);
-  trace.Record(300, EventType::kPeerDisconnected, 1);
-  EXPECT_EQ(trace.Size(), 3u);
-  EXPECT_EQ(trace.Recorded(), 3u);
-  EXPECT_EQ(trace.Dropped(), 0u);
-  const std::vector<TraceEvent> events = trace.Snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].time, 100);
-  EXPECT_EQ(events[0].type, EventType::kPeerConnected);
-  EXPECT_EQ(events[2].time, 300);
-}
-
-TEST(ObsTrace, WraparoundCountsDropsAndKeepsNewest) {
-  EventTrace trace(4);
-  for (int i = 0; i < 10; ++i) {
-    trace.Record(i, EventType::kFrameDropped, /*peer_id=*/7, /*a=*/i);
-  }
-  EXPECT_EQ(trace.Capacity(), 4u);
-  EXPECT_EQ(trace.Size(), 4u);
-  EXPECT_EQ(trace.Recorded(), 10u);
-  EXPECT_EQ(trace.Dropped(), 6u);
-  const std::vector<TraceEvent> events = trace.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest first, holding the newest four records (times 6..9).
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].time, 6 + i);
-    EXPECT_EQ(events[i].a, 6 + i);
-    EXPECT_EQ(events[i].peer_id, 7u);
-  }
-}
-
-TEST(ObsTrace, ClearResetsRetainedButNotTotals) {
-  EventTrace trace(4);
-  trace.Record(1, EventType::kPeerBanned, 1, 100);
-  trace.Clear();
-  EXPECT_EQ(trace.Size(), 0u);
-  EXPECT_TRUE(trace.Snapshot().empty());
-}
-
-TEST(ObsTrace, RenderMentionsEventTypes) {
-  EventTrace trace(8);
-  trace.Record(bsim::kSecond, EventType::kPeerBanned, 3, 100);
-  const std::string text = trace.Render();
-  EXPECT_NE(text.find(bsobs::ToString(EventType::kPeerBanned)), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

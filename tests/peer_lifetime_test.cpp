@@ -223,11 +223,11 @@ class PeerLifetime : public ::testing::Test {
 
     int disconnects = 0;
     bool after_disconnect = false;
-    for (const bsobs::TraceEvent& ev : node_->Trace().Snapshot()) {
-      if (ev.peer_id != link.id) continue;
-      EXPECT_FALSE(after_disconnect) << "event after disconnect: "
-                                     << static_cast<int>(ev.type);
-      if (ev.type == bsobs::EventType::kPeerDisconnected) {
+    for (const bsobs::SpanRecord& rec : node_->Trace().Snapshot()) {
+      if (rec.peer_id != link.id) continue;
+      EXPECT_FALSE(after_disconnect) << "record after disconnect: "
+                                     << bsobs::ToString(rec.kind);
+      if (rec.kind == bsobs::SpanKind::kDisconnected) {
         ++disconnects;
         after_disconnect = true;
       }
@@ -339,10 +339,10 @@ TEST_F(PeerLifetime, OutboundConnClosingOnItsVersionSendIsFreedAfterTheTurn) {
   conn.Establish();  // registers the peer, whose VERSION send closes the conn
   EXPECT_EQ(node_->OutboundCount(), 0u);
   EXPECT_EQ(node_->OutboundDialFailures(), 1u);
-  const auto& events = node_->Trace().Snapshot();
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().type, bsobs::EventType::kPeerDisconnected);
-  ExpectReaped({&conn, events.back().peer_id});
+  const auto records = node_->Trace().Snapshot();
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records.back().kind, bsobs::SpanKind::kDisconnected);
+  ExpectReaped({&conn, records.back().peer_id});
 }
 
 TEST_F(PeerLifetime, InboundEvictionFreesTheLoserBeforeTheNewcomerRegisters) {
@@ -563,11 +563,11 @@ TEST_F(NodeReceive, OverCapDeliveryShedsTheExcessAndClaimsTheRestExactly) {
 
   EXPECT_EQ(node_->RxBytesShed() - shed_before, shed.size());
   int shed_events = 0;
-  for (const bsobs::TraceEvent& ev : node_->Trace().Snapshot()) {
-    if (ev.type != bsobs::EventType::kRxShed) continue;
+  for (const bsobs::SpanRecord& rec : node_->Trace().Snapshot()) {
+    if (rec.kind != bsobs::SpanKind::kRxShed) continue;
     ++shed_events;
-    EXPECT_EQ(ev.peer_id, link.id);
-    EXPECT_EQ(ev.a, static_cast<std::int64_t>(shed.size()));
+    EXPECT_EQ(rec.peer_id, link.id);
+    EXPECT_EQ(rec.a, static_cast<std::int64_t>(shed.size()));
   }
   EXPECT_EQ(shed_events, 1);
   EXPECT_EQ(node_->TotalMessagesReceived(), messages + 2);  // both PINGs ran

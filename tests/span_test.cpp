@@ -61,6 +61,55 @@ TEST(SpanLogTest, RingWrapsAndCountsDrops) {
   EXPECT_EQ(snap.back().span_id, 10u);
 }
 
+TEST(SpanLogTest, RecordsInOrderBelowCapacity) {
+  bsobs::SpanLog log(8);
+  for (const auto& [time, kind] : {std::pair{100, SpanKind::kConnected},
+                                   std::pair{200, SpanKind::kReceive},
+                                   std::pair{300, SpanKind::kDisconnected}}) {
+    SpanRecord rec;
+    rec.time = time;
+    rec.kind = kind;
+    log.Record(rec);
+  }
+  EXPECT_EQ(log.Size(), 3u);
+  EXPECT_EQ(log.Recorded(), 3u);
+  EXPECT_EQ(log.Dropped(), 0u);
+  const auto snap = log.Snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  EXPECT_EQ(snap[0].time, 100);
+  EXPECT_EQ(snap[0].kind, SpanKind::kConnected);
+  EXPECT_EQ(snap[2].time, 300);
+}
+
+TEST(SpanLogTest, ZeroCapacityKeepsNothing) {
+  bsobs::SpanLog log(0);
+  log.Record(SpanRecord{});
+  EXPECT_EQ(log.Size(), 0u);
+  EXPECT_EQ(log.Recorded(), 0u);
+  EXPECT_TRUE(log.Snapshot().empty());
+}
+
+TEST(SpanLogTest, RenderNamesKindsAndIdsOfTheNewestRecords) {
+  bsobs::SpanLog log(8);
+  SpanRecord event;
+  event.time = bsim::kSecond;
+  event.kind = SpanKind::kConnected;
+  log.Record(event);
+  SpanRecord ban;
+  ban.time = 2 * bsim::kSecond;
+  ban.kind = SpanKind::kBan;
+  ban.trace_id = 4;
+  ban.span_id = 9;
+  ban.parent_span = 8;
+  log.Record(ban);
+  const std::string text = log.Render(1);
+  EXPECT_NE(text.find("2/8 retained"), std::string::npos) << text;
+  EXPECT_NE(text.find(bsobs::ToString(SpanKind::kBan)), std::string::npos) << text;
+  EXPECT_NE(text.find("trace=4 span=9 parent=8"), std::string::npos) << text;
+  // Only the newest record is listed.
+  EXPECT_EQ(text.find(bsobs::ToString(SpanKind::kConnected)), std::string::npos) << text;
+}
+
 TEST(SpanLogTest, ClearResets) {
   bsobs::SpanLog log(4);
   log.Record(SpanRecord{});
@@ -389,7 +438,13 @@ TEST(SpanDisabledTest, NodesWorkWithoutTracerAndRegisterNothing) {
 
 TEST(SpanDisabledTest, TracingDoesNotChangeSimulationOutcome) {
   // The same seeded world with and without a tracer must produce identical
-  // message/event counts — the bit-identical guarantee the benches rely on.
+  // message/event counts — the bit-identical guarantee the benches rely on —
+  // and node a must write the same records, which differ only in their ids.
+  struct Outcome {
+    std::uint64_t events = 0;
+    std::uint64_t messages = 0;
+    std::vector<SpanRecord> records;  // node a's, oldest first
+  };
   const auto run = [](SpanTracer* tracer) {
     bsim::Scheduler sched;
     bsim::Network net(sched);
@@ -408,11 +463,60 @@ TEST(SpanDisabledTest, TracingDoesNotChangeSimulationOutcome) {
     sched.RunUntil(5 * bsim::kSecond);
     a.MineAndRelay();
     sched.RunUntil(10 * bsim::kSecond);
-    return std::make_pair(sched.ExecutedEvents(),
-                          a.TotalMessagesReceived() + b.TotalMessagesReceived());
+    Outcome out{sched.ExecutedEvents(),
+                a.TotalMessagesReceived() + b.TotalMessagesReceived(),
+                {}};
+    EXPECT_EQ(a.Trace().Dropped(), 0u);
+    for (const SpanRecord& rec : a.Trace().Snapshot()) {
+      if (rec.node_ip == a.Ip()) out.records.push_back(rec);
+    }
+    return out;
   };
   SpanTracer tracer;
-  EXPECT_EQ(run(nullptr), run(&tracer));
+  const Outcome off = run(nullptr);
+  const Outcome on = run(&tracer);
+  EXPECT_EQ(off.events, on.events);
+  EXPECT_EQ(off.messages, on.messages);
+  ASSERT_EQ(off.records.size(), on.records.size());
+  ASSERT_FALSE(off.records.empty());
+  bool traced = false;
+  for (std::size_t i = 0; i < off.records.size(); ++i) {
+    const SpanRecord& x = off.records[i];
+    const SpanRecord& y = on.records[i];
+    EXPECT_EQ(x.kind, y.kind) << "record " << i;
+    EXPECT_EQ(x.time, y.time) << "record " << i;
+    EXPECT_EQ(x.peer_id, y.peer_id) << "record " << i;
+    EXPECT_EQ(x.a, y.a) << "record " << i;
+    EXPECT_EQ(x.b, y.b) << "record " << i;
+    EXPECT_EQ(x.trace_id, 0u) << "record " << i;
+    EXPECT_EQ(y.trace_id != 0, bsobs::IsCausal(y.kind)) << "record " << i;
+    traced = traced || y.trace_id != 0;
+  }
+  EXPECT_TRUE(traced);
+}
+
+TEST(SpanNodeTest, FrameMisbehaviorAndBanAreEachRecordedOnce) {
+  // Two Sybil identifiers flood duplicate VERSIONs until each is banned.
+  SpanTracer tracer;
+  bsscenario::SybilSpec spec;
+  spec.tracer = &tracer;
+  spec.attack.max_identifiers = 2;
+  bsscenario::SybilWorld world(spec);
+  ASSERT_EQ(world.Run(10).banned, 2);
+  ASSERT_EQ(tracer.Log().Dropped(), 0u);
+
+  const Node& target = *world.target;
+  std::map<SpanKind, std::uint64_t> records;
+  for (const SpanRecord& rec : tracer.Log().Snapshot()) {
+    if (rec.node_ip == target.Ip()) ++records[rec.kind];
+  }
+  const std::uint64_t points =
+      world.target->Metrics().GetCounter("bs_ban_score_events_total")->Value();
+  EXPECT_GT(points, 0u);
+  EXPECT_EQ(records[SpanKind::kReceive], target.TotalMessagesReceived());
+  EXPECT_EQ(records[SpanKind::kMisbehavior], points);
+  EXPECT_EQ(records[SpanKind::kBan], target.PeersBanned());
+  EXPECT_EQ(records[SpanKind::kBan], 2u);
 }
 
 }  // namespace

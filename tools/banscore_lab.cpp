@@ -864,8 +864,8 @@ int RunStoreFsck(const Flags& flags) {
 // ---------------------------------------------------------------------------
 // timeline: forensic reconstruction of a ban's causal chain. Runs a seeded
 // attack scenario with one shared SpanTracer across every node, then prints
-// the merged span + event timeline and walks the last kBan span's parent
-// chain back to its root. Exit 0 iff the chain is complete: it reaches a
+// its log — every node's records, spans and node events alike — and walks
+// the last kBan span's parent chain back to its root. Exit 0 iff the chain is complete: it reaches a
 // root kSend/kInject span and crosses at least two distinct nodes (the
 // acceptance test for cross-node causality).
 
@@ -903,7 +903,7 @@ std::string SpanLine(const bsobs::SpanRecord& rec) {
                std::to_string(rec.b) + " B";
       break;
     case bsobs::SpanKind::kShed:
-      detail = std::to_string(rec.a) + " B shed";
+      detail = std::to_string(rec.a) + " B shed" + (rec.b != 0 ? " by the governor" : "");
       break;
     case bsobs::SpanKind::kMisbehavior:
       detail = "+" + std::to_string(rec.a) + " -> score " + std::to_string(rec.b);
@@ -912,8 +912,15 @@ std::string SpanLine(const bsobs::SpanRecord& rec) {
       detail = "banned " + IpToString(static_cast<std::uint32_t>(rec.a)) +
                " at score " + std::to_string(rec.b);
       break;
-    case bsobs::SpanKind::kDetect:
-      detail = "anomalous=" + std::to_string(rec.a);
+    case bsobs::SpanKind::kConnected:
+    case bsobs::SpanKind::kDisconnected:
+      detail = std::string(rec.b != 0 ? "inbound " : "outbound ") +
+               IpToString(static_cast<std::uint32_t>(rec.a)) + " peer=" +
+               std::to_string(rec.peer_id);
+      break;
+    default:  // the other node events
+      detail = "peer=" + std::to_string(rec.peer_id) + " a=" + std::to_string(rec.a) +
+               " b=" + std::to_string(rec.b);
       break;
   }
   std::string flags;
@@ -938,14 +945,12 @@ int RunTimeline(const Flags& flags) {
   bsobs::SpanTracer tracer;
   std::unique_ptr<bsscenario::DefameWorld> defame;
   std::unique_ptr<bsscenario::SybilWorld> sybil;
-  const Node* target = nullptr;
   if (scenario == "defame-pre" || scenario == "defame-post") {
     bsscenario::DefameSpec spec;
     spec.seed = seed;
     spec.tracer = &tracer;
     spec.outbound = scenario == "defame-post" ? 1 : 0;
     defame = std::make_unique<bsscenario::DefameWorld>(spec);
-    target = defame->target.get();
     if (scenario == "defame-pre") {
       defame->DefamePre();
     } else if (!defame->DefamePost().session_found) {
@@ -959,7 +964,6 @@ int RunTimeline(const Flags& flags) {
     spec.attacker_ip = bsscenario::DefameWorld::kAttackerIp;
     spec.attack.max_identifiers = 2;
     sybil = std::make_unique<bsscenario::SybilWorld>(spec);
-    target = sybil->target.get();
     sybil->RunFor(5);
     sybil->Run(20);
   } else {
@@ -967,42 +971,21 @@ int RunTimeline(const Flags& flags) {
     return 2;
   }
 
-  // ---- merged annotated timeline: spans (all nodes) + the target's events.
+  // ---- the one log: every node's records, in the order they were written.
   const std::vector<bsobs::SpanRecord> spans = tracer.Log().Snapshot();
-  struct Line {
-    bsim::SimTime time;
-    int order;  // events sort after spans at the same instant
-    std::string text;
-  };
-  std::vector<Line> lines;
-  for (const bsobs::SpanRecord& rec : spans) {
-    if (peer_filter != 0 && rec.node_ip != peer_filter &&
-        static_cast<std::uint32_t>(rec.a) != peer_filter &&
-        static_cast<std::uint32_t>(rec.b) != peer_filter) {
-      continue;
-    }
-    lines.push_back({rec.time, 0, SpanLine(rec)});
-  }
-  for (const bsobs::TraceEvent& ev : target->Trace().Snapshot()) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%12.6f  %-15s event:%-21s peer=%llu a=%lld b=%lld",
-                  bsim::ToSeconds(ev.time), IpToString(target->Ip()).c_str(),
-                  bsobs::ToString(ev.type),
-                  static_cast<unsigned long long>(ev.peer_id),
-                  static_cast<long long>(ev.a), static_cast<long long>(ev.b));
-    lines.push_back({ev.time, 1, buf});
-  }
-  std::stable_sort(lines.begin(), lines.end(), [](const Line& x, const Line& y) {
-    return x.time != y.time ? x.time < y.time : x.order < y.order;
-  });
   std::printf("timeline: scenario=%s, seed=%llu, %zu spans "
               "(%llu recorded, %llu evicted)\n\n",
               scenario.c_str(), static_cast<unsigned long long>(seed), spans.size(),
               static_cast<unsigned long long>(tracer.Log().Recorded()),
               static_cast<unsigned long long>(tracer.Log().Dropped()));
   std::printf("%12s  %-15s %s\n", "time (s)", "node", "record");
-  for (const Line& line : lines) std::printf("%s\n", line.text.c_str());
+  for (const bsobs::SpanRecord& rec : spans) {
+    if (peer_filter == 0 || rec.node_ip == peer_filter ||
+        static_cast<std::uint32_t>(rec.a) == peer_filter ||
+        static_cast<std::uint32_t>(rec.b) == peer_filter) {
+      std::printf("%s\n", SpanLine(rec).c_str());
+    }
+  }
 
   // ---- causal chain of the last ban: walk parent_span links to the root.
   std::map<std::uint64_t, const bsobs::SpanRecord*> by_span;
