@@ -47,6 +47,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -74,6 +75,7 @@
 #include "store/fsck.hpp"
 #include "store/store.hpp"
 #include "util/json.hpp"
+#include "util/parse.hpp"
 #include "util/serialize.hpp"
 
 using namespace bsnet;  // NOLINT
@@ -82,6 +84,12 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Tiny flag parser: --key value pairs after the scenario name.
+
+/// Bounds of the numeric flags: an int-valued count, and a duration in
+/// seconds small enough that seconds × kSecond stays inside SimTime.
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr double kMaxSeconds = 1e9;
+constexpr double kMinSeconds = 1e-3;
 
 class Flags {
  public:
@@ -103,9 +111,25 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  double GetNum(const std::string& key, double fallback) const {
+  /// --key as a finite number in [lo, hi]; any other value exits 2.
+  double GetNum(const std::string& key, double fallback, double lo, double hi) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    if (it == values_.end()) return fallback;
+    if (const auto value = bsutil::ParseDouble(it->second, lo, hi)) return *value;
+    std::fprintf(stderr, "--%s: '%s' is not a number in [%g, %g]\n", key.c_str(),
+                 it->second.c_str(), lo, hi);
+    std::exit(2);
+  }
+  /// --key as a whole number in [lo, hi]; any other value exits 2.
+  std::uint64_t GetCount(const std::string& key, std::uint64_t fallback, std::uint64_t lo,
+                         std::uint64_t hi) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    if (const auto value = bsutil::ParseUint(it->second, lo, hi)) return *value;
+    std::fprintf(stderr, "--%s: '%s' is not a whole number in [%llu, %llu]\n",
+                 key.c_str(), it->second.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    std::exit(2);
   }
   /// --key's value mapped through `choices`; any other value exits 2.
   template <typename T>
@@ -167,7 +191,7 @@ void PrintJson(const bsutil::JsonObject& doc) { std::printf("%s\n", doc.Render()
 /// per-node seeds below are chosen as `seed + offset` with offsets that map
 /// 42 onto the literals the scenarios used before the flag existed.
 std::uint64_t SeedOf(const Flags& flags) {
-  return static_cast<std::uint64_t>(flags.GetNum("seed", 42));
+  return flags.GetCount("seed", 42, 0, std::numeric_limits<std::uint64_t>::max());
 }
 
 // ---------------------------------------------------------------------------
@@ -192,15 +216,16 @@ int RunBmDos(const Flags& flags) {
   spec.seed = seed;
   spec.policy = ParsePolicy(flags);
   spec.flood.payload = ParsePayload(flags);
-  spec.flood.sybil_connections = static_cast<int>(flags.GetNum("connections", 1));
-  spec.flood.rate_msgs_per_sec = flags.GetNum("rate", 1000);
+  spec.flood.sybil_connections = static_cast<int>(flags.GetCount("connections", 1, 1, kMaxInt));
+  spec.flood.rate_msgs_per_sec = flags.GetNum("rate", 1000, 1e-3, 1e9);
+  const double seconds = flags.GetNum("seconds", 10, kMinSeconds, kMaxSeconds);
   spec.cpu.emplace();
   bsscenario::BmDosWorld world(spec);
 
   const double baseline = world.MiningWindow(1).mining_rate_hps;
   world.StartFlood();
   world.RunFor(2);
-  const bsim::MiningSample sample = world.MiningWindow(flags.GetNum("seconds", 10));
+  const bsim::MiningSample sample = world.MiningWindow(seconds);
   world.StopFlood();
 
   std::printf("BM-DoS: payload=%s connections=%d rate=%.0f/s policy=%s seed=%llu\n",
@@ -224,10 +249,10 @@ int RunSybil(const Flags& flags) {
   bsscenario::SybilSpec spec;
   spec.seed = seed;
   spec.version = ParseVersion(flags);
-  spec.threshold = static_cast<int>(flags.GetNum("threshold", 100));
-  spec.attack.max_identifiers = static_cast<int>(flags.GetNum("identifiers", 10));
-  spec.attack.extra_message_delay =
-      static_cast<bsim::SimTime>(flags.GetNum("delay-ms", 0) * bsim::kMillisecond);
+  spec.threshold = static_cast<int>(flags.GetCount("threshold", 100, 1, kMaxInt));
+  spec.attack.max_identifiers = static_cast<int>(flags.GetCount("identifiers", 10, 1, kMaxInt));
+  spec.attack.extra_message_delay = static_cast<bsim::SimTime>(
+      flags.GetNum("delay-ms", 0, 0, kMaxSeconds * 1000) * bsim::kMillisecond);
   bsscenario::SybilWorld world(spec);
   const bsscenario::SybilOutcome out = world.Run(spec.attack.max_identifiers * 3.0 + 10);
 
@@ -274,6 +299,8 @@ int RunDefame(const Flags& flags) {
 int RunDetect(const Flags& flags) {
   const std::uint64_t seed = SeedOf(flags);
   const bool bmdos = flags.Choose<bool>("attack", "bmdos", {{"bmdos", true}, {"defame", false}});
+  const int train_minutes = static_cast<int>(flags.GetCount("train-minutes", 60, 1, 1000000));
+  const int window = static_cast<int>(flags.GetCount("window", 10, 1, 1000000));
   bsim::Scheduler sched;
   bsim::Network net(sched);
   NodeConfig config;
@@ -300,8 +327,6 @@ int RunDetect(const Flags& flags) {
                                             bsattack::TrafficConfig{});
   traffic.Start();
 
-  const int train_minutes = static_cast<int>(flags.GetNum("train-minutes", 60));
-  const int window = static_cast<int>(flags.GetNum("window", 10));
   std::printf("training on %d simulated minutes (window %d min, seed %llu)...\n",
               train_minutes, window, static_cast<unsigned long long>(seed));
   sched.RunUntil(sched.Now() + train_minutes * bsim::kMinute);
@@ -367,11 +392,12 @@ int RunDumpMetrics(const Flags& flags) {
   spec.policy = ParsePolicy(flags);
   spec.flood.payload = ParsePayload(flags);
   const bool json = ParseJsonFormat(flags, "prom");
+  const double seconds = flags.GetNum("seconds", 5, kMinSeconds, kMaxSeconds);
   spec.metrics = &registry;
   spec.net_metrics = true;
   bsscenario::BmDosWorld world(spec);
   world.StartFlood();
-  world.RunFor(flags.GetNum("seconds", 5));
+  world.RunFor(seconds);
   world.StopFlood();
 
   if (json) {
@@ -516,9 +542,9 @@ int RunOverload(const Flags& flags) {
   const bool eviction = (on & 1) != 0;
   const bool ratelimit = (on & 2) != 0;
   const bool priority = (on & 4) != 0;
-  const int procs = static_cast<int>(flags.GetNum("procs", 4));
-  const int windows = static_cast<int>(flags.GetNum("windows", 15));
-  const double min_ratio = flags.GetNum("min-ratio", 0.0);
+  const int procs = static_cast<int>(flags.GetCount("procs", 4, 1, 1000));
+  const int windows = static_cast<int>(flags.GetCount("windows", 15, 1, 1000000));
+  const double min_ratio = flags.GetNum("min-ratio", 0.0, 0, 1e9);
   const bool json = ParseJsonFormat(flags);
   const std::uint64_t seed = SeedOf(flags);
 
@@ -567,8 +593,8 @@ int RunOverload(const Flags& flags) {
 
 int RunEclipse(const Flags& flags) {
   const bool hardened = ParseHardened(flags);
-  const double seconds = flags.GetNum("seconds", 90);
-  const double heal_fraction = flags.GetNum("heal-fraction", 0.5);
+  const double seconds = flags.GetNum("seconds", 90, kMinSeconds, kMaxSeconds);
+  const double heal_fraction = flags.GetNum("heal-fraction", 0.5, 0, 1);
   const bool json = ParseJsonFormat(flags);
   const std::uint64_t seed = SeedOf(flags);
   if (seconds < 60) {
@@ -641,7 +667,7 @@ int RunEclipse(const Flags& flags) {
 
 int RunPartition(const Flags& flags) {
   const bool hardened = ParseHardened(flags);
-  const double seconds = flags.GetNum("seconds", 90);
+  const double seconds = flags.GetNum("seconds", 90, kMinSeconds, kMaxSeconds);
   const bool json = ParseJsonFormat(flags);
   const std::uint64_t seed = SeedOf(flags);
   if (seconds < 60) {
@@ -713,9 +739,10 @@ int RunPartition(const Flags& flags) {
 //   recovery:   the victim refills its outbound slots after the weather ends
 
 int RunChaos(const Flags& flags) {
-  const int seeds = static_cast<int>(flags.GetNum("seeds", 20));
-  const std::uint64_t base = static_cast<std::uint64_t>(flags.GetNum("seed-base", 1));
-  const double seconds = flags.GetNum("seconds", 60);
+  const int seeds = static_cast<int>(flags.GetCount("seeds", 20, 1, kMaxInt));
+  const std::uint64_t base =
+      flags.GetCount("seed-base", 1, 0, std::numeric_limits<std::uint64_t>::max());
+  const double seconds = flags.GetNum("seconds", 60, kMinSeconds, kMaxSeconds);
 
   std::printf("chaos sweep: %d seeds x %.0f s of randomized faults "
               "(loss/dup/reorder/corrupt + 2 link flaps + 1 crash/restart)\n\n",
@@ -1117,12 +1144,13 @@ bool SameIdentity(const bsutil::JsonValue& a, const bsutil::JsonValue& b,
 int RunBenchDiff(const Flags& flags) {
   const std::string old_path = flags.Get("old", "");
   const std::string new_path = flags.Get("new", "");
+  const double max_tol = std::numeric_limits<double>::max();
+  const double tol = flags.GetNum("tolerance", 0.0, 0, max_tol);
+  const double timing_tol = flags.GetNum("timing-tolerance", 0.5, 0, max_tol);
   if (old_path.empty() || new_path.empty()) {
     std::fprintf(stderr, "bench-diff: --old and --new are required\n");
     return 2;
   }
-  const double tol = flags.GetNum("tolerance", 0.0);
-  const double timing_tol = flags.GetNum("timing-tolerance", 0.5);
 
   const auto old_doc = LoadReport(old_path);
   const auto new_doc = LoadReport(new_path);
@@ -1192,10 +1220,13 @@ int RunFuzz(const Flags& flags) {
   const bool json = ParseJsonFormat(flags);
   const std::string corpus = flags.Get("corpus", "fuzz/corpus");
   const std::string artifacts = flags.Get("artifacts", "build/fuzz-artifacts");
-  const auto seeds = static_cast<std::size_t>(flags.GetNum("seeds", 8));
-  const auto seed_base = static_cast<std::uint64_t>(flags.GetNum("seed-base", 1));
-  const auto iters = static_cast<std::size_t>(flags.GetNum("iters", 1500));
-  const auto diff_iters = static_cast<std::size_t>(flags.GetNum("diff-iters", 200));
+  const std::uint64_t max_seed = std::numeric_limits<std::uint64_t>::max();
+  const auto seeds = static_cast<std::size_t>(flags.GetCount("seeds", 8, 1, kMaxInt));
+  const std::uint64_t seed_base = flags.GetCount("seed-base", 1, 0, max_seed);
+  const auto iters = static_cast<std::size_t>(flags.GetCount("iters", 1500, 1, kMaxInt));
+  const auto diff_iters =
+      static_cast<std::size_t>(flags.GetCount("diff-iters", 200, 1, kMaxInt));
+  const auto count = static_cast<std::size_t>(flags.GetCount("count", 6, 1, kMaxInt));
   const std::string replay = flags.Get("replay", "");
   const std::string reseed = flags.Get("reseed", "");
 
@@ -1208,7 +1239,6 @@ int RunFuzz(const Flags& flags) {
   }
 
   if (!reseed.empty()) {
-    const auto count = static_cast<std::size_t>(flags.GetNum("count", 6));
     std::size_t total = 0;
     for (const std::string& h : bsfuzz::AllHarnesses()) {
       const std::size_t n = bsfuzz::ReseedCorpus(h, reseed, seed_base, count);
@@ -1453,9 +1483,10 @@ bool TestbedAnyHonestBan(const std::vector<TestbedMember>& members) {
 
 int RunTestbed(const Flags& flags) {
   const bool json = ParseJsonFormat(flags);
-  const int n = std::max(2, static_cast<int>(flags.GetNum("nodes", 3)));
-  const auto seed = static_cast<std::uint64_t>(flags.GetNum("seed", 42));
-  const long lifetime_sec = static_cast<long>(flags.GetNum("lifetime", 120));
+  // Each member is a bsnetd process with two ports.
+  const int n = static_cast<int>(flags.GetCount("nodes", 3, 2, 16));
+  const std::uint64_t seed = SeedOf(flags);
+  const long lifetime_sec = static_cast<long>(flags.GetCount("lifetime", 120, 1, 1000000));
   const std::string bsnetd = SelfDir() + "/bsnetd";
   if (::access(bsnetd.c_str(), X_OK) != 0) {
     std::fprintf(stderr, "testbed: bsnetd not found at %s\n", bsnetd.c_str());

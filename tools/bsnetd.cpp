@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "core/real_transport.hpp"
 #include "core/rpc.hpp"
 #include "sim/faultsock.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -56,9 +58,9 @@ bool ParsePeers(const std::string& list, std::vector<bsproto::Endpoint>& out) {
     if (colon == std::string::npos) return false;
     bsproto::Endpoint ep;
     ep.ip = bsproto::Endpoint::ParseIp(item.substr(0, colon));
-    const long port = std::atol(item.c_str() + colon + 1);
-    if (ep.ip == 0 || port <= 0 || port > 65535) return false;
-    ep.port = static_cast<std::uint16_t>(port);
+    const auto port = bsutil::ParseUint(item.substr(colon + 1), 1, 65535);
+    if (ep.ip == 0 || !port) return false;
+    ep.port = static_cast<std::uint16_t>(*port);
     out.push_back(ep);
     pos = comma + 1;
   }
@@ -78,6 +80,26 @@ int UsageError(const char* what) {
   return 2;
 }
 
+/// Parse `text` strictly into `out` (see util/parse.hpp); false when it is
+/// not wholly a number in [lo, hi].
+template <typename T>
+bool ParseCount(const std::string& text, std::uint64_t lo, std::uint64_t hi, T& out) {
+  const auto value = bsutil::ParseUint(text, lo, hi);
+  if (value) out = static_cast<T>(*value);
+  return value.has_value();
+}
+
+bool ParseRate(const std::string& text, double& out) {
+  const auto value = bsutil::ParseDouble(text, 0, 1);
+  if (value) out = *value;
+  return value.has_value();
+}
+
+// Durations stay far enough inside SimTime that WallNow() + seconds ×
+// kSecond cannot overflow.
+constexpr std::uint64_t kMaxSeconds = 1'000'000'000;
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
+
 bool ParseFlags(int argc, char** argv, DaemonFlags& f) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -87,41 +109,51 @@ bool ParseFlags(int argc, char** argv, DaemonFlags& f) {
     }
     if (i + 1 >= argc) return false;
     const std::string value = argv[++i];
+    bool ok = true;
     if (flag == "--ip") {
       f.ip = value;
     } else if (flag == "--port") {
-      f.port = static_cast<std::uint16_t>(std::atoi(value.c_str()));
+      ok = ParseCount(value, 0, 65535, f.port);
     } else if (flag == "--rpc-port") {
-      f.rpc_port = static_cast<std::uint16_t>(std::atoi(value.c_str()));
+      ok = ParseCount(value, 0, 65535, f.rpc_port);
     } else if (flag == "--peers") {
-      if (!ParsePeers(value, f.peers)) return false;
+      ok = ParsePeers(value, f.peers);
     } else if (flag == "--store-dir") {
       f.store_dir = value;
     } else if (flag == "--mine-interval-ms") {
-      f.mine_interval_ms = std::atol(value.c_str());
+      ok = ParseCount(value, 0, kMaxSeconds, f.mine_interval_ms);
     } else if (flag == "--seconds") {
-      f.seconds = std::atol(value.c_str());
+      ok = ParseCount(value, 0, kMaxSeconds, f.seconds);
     } else if (flag == "--seed") {
-      f.seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      ok = ParseCount(value, 0, kMaxSeed, f.seed);
     } else if (flag == "--fault-eagain") {
-      f.faults.eagain_rate = std::atof(value.c_str());
+      ok = ParseRate(value, f.faults.eagain_rate);
     } else if (flag == "--fault-short") {
-      f.faults.short_io_rate = std::atof(value.c_str());
+      ok = ParseRate(value, f.faults.short_io_rate);
     } else if (flag == "--fault-reset") {
-      f.faults.reset_rate = std::atof(value.c_str());
+      ok = ParseRate(value, f.faults.reset_rate);
     } else if (flag == "--fault-epipe") {
-      f.faults.epipe_rate = std::atof(value.c_str());
+      ok = ParseRate(value, f.faults.epipe_rate);
     } else if (flag == "--fault-accept") {
-      f.faults.accept_fail_rate = std::atof(value.c_str());
+      ok = ParseRate(value, f.faults.accept_fail_rate);
     } else if (flag == "--fault-connect") {
-      f.faults.connect_fail_rate = std::atof(value.c_str());
+      ok = ParseRate(value, f.faults.connect_fail_rate);
     } else if (flag == "--fault-blackhole") {
-      f.faults.blackhole_rate = std::atof(value.c_str());
+      ok = ParseRate(value, f.faults.blackhole_rate);
     } else if (flag == "--fault-seed") {
-      f.faults.seed = static_cast<std::uint64_t>(std::atoll(value.c_str()));
+      ok = ParseCount(value, 0, kMaxSeed, f.faults.seed);
     } else {
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bsnetd: bad value '%s' for %s\n", value.c_str(), flag.c_str());
       return false;
     }
+  }
+  // The default RPC port is --port + 1000, which must stay a port.
+  if (f.rpc_port == 0 && f.port > 65535 - 1000) {
+    std::fprintf(stderr, "bsnetd: --port above 64535 needs an explicit --rpc-port\n");
+    return false;
   }
   f.any_fault = f.faults.eagain_rate > 0 || f.faults.short_io_rate > 0 ||
                 f.faults.reset_rate > 0 || f.faults.epipe_rate > 0 ||
