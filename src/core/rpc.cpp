@@ -7,8 +7,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "core/banman.hpp"
 #include "crypto/sha256.hpp"
@@ -30,13 +33,25 @@ std::string FormatIp(std::uint32_t ip) {
 }
 
 std::string ErrorLine(const std::string& message) {
-  return "{\"error\":\"" + bsutil::JsonEscape(message) + "\"}";
+  return bsutil::JsonObject().Add("error", message).Render();
 }
 
-double NumberOr(const bsutil::JsonValue& obj, const std::string& key,
-                double fallback) {
+std::string ResultLine(const char* result) {
+  return bsutil::JsonObject().Add("result", result).Render();
+}
+
+std::string ResultArray(const std::vector<std::string>& items) {
+  return bsutil::JsonObject().AddRaw("result", bsutil::JsonArray(items)).Render();
+}
+
+/// `key` of `obj` as a number, `fallback` when absent; nullopt when present
+/// but not a number.
+std::optional<double> NumberOr(const bsutil::JsonValue& obj, const std::string& key,
+                               double fallback) {
   const bsutil::JsonValue* v = obj.Find(key);
-  return v != nullptr && v->IsNumber() ? v->number : fallback;
+  if (v == nullptr) return fallback;
+  if (!v->IsNumber()) return std::nullopt;
+  return v->number;
 }
 
 }  // namespace
@@ -185,45 +200,48 @@ std::string RpcServer::Dispatch(const std::string& line) {
     for (const Peer* peer : node_.Peers()) {
       if (peer->got_version && peer->got_verack) ++established;
     }
-    return "{\"result\":{\"height\":" + std::to_string(node_.Chain().TipHeight()) +
-           ",\"peers\":" + std::to_string(node_.Peers().size()) +
-           ",\"established\":" + std::to_string(established) +
-           ",\"bans\":" + std::to_string(node_.Bans().Size()) +
-           ",\"sha256\":\"" + bscrypto::Sha256::Implementation() + "\"}}";
+    return bsutil::JsonObject()
+        .AddRaw("result", bsutil::JsonObject()
+                              .Add("height", node_.Chain().TipHeight())
+                              .Add("peers", node_.Peers().size())
+                              .Add("established", established)
+                              .Add("bans", node_.Bans().Size())
+                              .Add("sha256", bscrypto::Sha256::Implementation())
+                              .Render())
+        .Render();
   }
 
   if (method->str == "getpeerinfo") {
-    std::string items;
+    std::vector<std::string> items;
     for (const Peer* peer : node_.Peers()) {
-      if (!items.empty()) items += ",";
-      items += "{\"id\":" + std::to_string(peer->id) +
-               ",\"addr\":\"" + FormatEndpoint(peer->remote) +
-               "\",\"inbound\":" + (peer->inbound ? "true" : "false") +
-               ",\"established\":" +
-               (peer->got_version && peer->got_verack ? "true" : "false") +
-               ",\"banscore\":" + std::to_string(node_.Tracker().Score(peer->id)) +
-               ",\"messages\":" + std::to_string(peer->messages_received) +
-               ",\"bytes\":" + std::to_string(peer->bytes_received) +
-               ",\"last_pong_rtt_ns\":" + std::to_string(peer->last_pong_rtt) +
-               "}";
+      items.push_back(bsutil::JsonObject()
+                          .Add("id", peer->id)
+                          .Add("addr", FormatEndpoint(peer->remote))
+                          .Add("inbound", peer->inbound)
+                          .Add("established", peer->got_version && peer->got_verack)
+                          .Add("banscore", node_.Tracker().Score(peer->id))
+                          .Add("messages", peer->messages_received)
+                          .Add("bytes", peer->bytes_received)
+                          .Add("last_pong_rtt_ns", peer->last_pong_rtt)
+                          .Render());
     }
-    return "{\"result\":[" + items + "]}";
+    return ResultArray(items);
   }
 
   if (method->str == "banlist") {
-    std::string items;
+    std::vector<std::string> items;
     for (const bsproto::Endpoint& ep : node_.Bans().Snapshot()) {
-      if (!items.empty()) items += ",";
-      items += "{\"addr\":\"" + FormatEndpoint(ep) +
-               "\",\"until_ns\":" + std::to_string(node_.Bans().BanExpiry(ep)) +
-               "}";
+      items.push_back(bsutil::JsonObject()
+                          .Add("addr", FormatEndpoint(ep))
+                          .Add("until_ns", node_.Bans().BanExpiry(ep))
+                          .Render());
     }
-    return "{\"result\":[" + items + "]}";
+    return ResultArray(items);
   }
 
   if (method->str == "metrics") {
     // RenderJson is single-line by construction; embed it raw.
-    return "{\"result\":" + node_.Metrics().RenderJson() + "}";
+    return bsutil::JsonObject().AddRaw("result", node_.Metrics().RenderJson()).Render();
   }
 
   if (method->str == "setban") {
@@ -233,28 +251,39 @@ std::string RpcServer::Dispatch(const std::string& line) {
     }
     const auto ip = ParseIp(ip_text->str);
     if (!ip) return ErrorLine("setban: bad ip");
-    const auto port =
-        static_cast<std::uint16_t>(NumberOr(*parsed, "port", 0));
-    const bsproto::Endpoint who{*ip, port};
+    const std::optional<double> port = NumberOr(*parsed, "port", 0);
+    if (!port || !(*port >= 0 && *port <= 65535) || *port != std::floor(*port)) {
+      return ErrorLine("setban: port must be an integer in 0-65535");
+    }
+    const bsproto::Endpoint who{*ip, static_cast<std::uint16_t>(*port)};
     const bsutil::JsonValue* remove = parsed->Find("remove");
     if (remove != nullptr && remove->kind == bsutil::JsonValue::Kind::kBool &&
         remove->boolean) {
       node_.Bans().Unban(who);
-      return "{\"result\":\"unbanned\"}";
+      return ResultLine("unbanned");
     }
-    const double seconds = NumberOr(*parsed, "seconds", 86400.0);
+    // The ban must end after now and before SimTime runs out; a double
+    // below the rounded headroom converts to an integer inside it.
+    const std::optional<double> seconds = NumberOr(*parsed, "seconds", 86400.0);
     const bsim::SimTime now = node_.Sched().Now();
-    node_.Bans().Ban(who, now + static_cast<bsim::SimTime>(seconds) * bsim::kSecond);
+    const double headroom =
+        static_cast<double>(std::numeric_limits<bsim::SimTime>::max() - now);
+    const double length = seconds ? *seconds * static_cast<double>(bsim::kSecond) : 0;
+    if (!(length >= 1 && length < headroom)) {
+      return ErrorLine("setban: seconds must be positive and end the ban within "
+                       "the clock's range");
+    }
+    node_.Bans().Ban(who, now + static_cast<bsim::SimTime>(length));
     if (const Peer* peer = node_.FindPeerByRemote(who)) {
       node_.DisconnectPeer(peer->id);
     }
-    return "{\"result\":\"banned\"}";
+    return ResultLine("banned");
   }
 
   if (method->str == "stop") {
     stop_requested_ = true;
     if (on_stop) on_stop();
-    return "{\"result\":\"stopping\"}";
+    return ResultLine("stopping");
   }
 
   return ErrorLine("unknown method: " + method->str);

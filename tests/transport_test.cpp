@@ -252,32 +252,18 @@ TEST(RealTransportLoopback, TwoNodesHandshakeRelayABlockAndTearDownPolitely) {
   b.Shutdown();
 }
 
-TEST(RpcGetinfo, NamesTheSha256KernelThisProcessRuns) {
-  bsim::Scheduler sched;
-  EventLoop loop(sched);
-  bsim::RealSocketApi& api = bsim::RealSocketApi::Instance();
-  RealTransportConfig rtc;
-  rtc.bind_port = 0;
-  RealTransport transport(loop, api, rtc);
-  NodeConfig config;
-  config.listen_port = 0;
-  Node node(sched, transport, config);
-  node.Start();
-  RpcServer rpc(loop, api, node, 0);
-  ASSERT_EQ(rpc.ListenError(), 0);
-
-  // The server shares this thread's loop, so talk to it over a raw socket
-  // and pump between reads.
+/// One request line to `rpc` over a raw socket; the reply line without its
+/// newline. The server shares this thread's loop, so pump between reads.
+std::string RpcRoundTrip(EventLoop& loop, const RpcServer& rpc, const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+  EXPECT_GE(fd, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(rpc.Port());
   addr.sin_addr.s_addr = htonl(kLoopback);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
-  const std::string request = "{\"method\":\"getinfo\"}\n";
-  ASSERT_EQ(::write(fd, request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  const std::string line = request + "\n";
+  EXPECT_EQ(::write(fd, line.data(), line.size()), static_cast<ssize_t>(line.size()));
   std::string reply;
   EXPECT_TRUE(PumpUntil(loop, [&] {
     char buf[256];
@@ -286,8 +272,35 @@ TEST(RpcGetinfo, NamesTheSha256KernelThisProcessRuns) {
     return reply.find('\n') != std::string::npos;
   }));
   ::close(fd);
+  return reply.substr(0, reply.find('\n'));
+}
 
-  const auto doc = bsutil::ParseJson(reply.substr(0, reply.find('\n')));
+/// A node on real sockets with an RpcServer on a kernel-assigned port.
+struct RpcFixture {
+  bsim::Scheduler sched;
+  EventLoop loop{sched};
+  RealTransport transport{loop, bsim::RealSocketApi::Instance(), [] {
+                            RealTransportConfig rtc;
+                            rtc.bind_port = 0;
+                            return rtc;
+                          }()};
+  Node node{sched, transport, [] {
+              NodeConfig config;
+              config.listen_port = 0;
+              return config;
+            }()};
+  RpcServer rpc{loop, bsim::RealSocketApi::Instance(), node, 0};
+
+  RpcFixture() { node.Start(); }
+  ~RpcFixture() { node.Shutdown(); }
+  std::string Call(const std::string& request) { return RpcRoundTrip(loop, rpc, request); }
+};
+
+TEST(RpcGetinfo, NamesTheSha256KernelThisProcessRuns) {
+  RpcFixture f;
+  ASSERT_EQ(f.rpc.ListenError(), 0);
+  const std::string reply = f.Call("{\"method\":\"getinfo\"}");
+  const auto doc = bsutil::ParseJson(reply);
   ASSERT_TRUE(doc.has_value()) << reply;
   const bsutil::JsonValue* result = doc->Find("result");
   ASSERT_NE(result, nullptr) << reply;
@@ -295,7 +308,44 @@ TEST(RpcGetinfo, NamesTheSha256KernelThisProcessRuns) {
   ASSERT_NE(kernel, nullptr) << reply;
   EXPECT_EQ(kernel->str, bscrypto::Sha256::Implementation());
   EXPECT_TRUE(kernel->str == "shani" || kernel->str == "scalar") << kernel->str;
-  node.Shutdown();
+  EXPECT_EQ(reply, std::string("{\"result\":{\"height\":0,\"peers\":0,\"established\":0,"
+                               "\"bans\":0,\"sha256\":\"") +
+                       bscrypto::Sha256::Implementation() + "\"}}");
+}
+
+TEST(RpcSetban, RejectsPortsAndDurationsOutsideTheirRange) {
+  RpcFixture f;
+  ASSERT_EQ(f.rpc.ListenError(), 0);
+  const std::string ban = "{\"method\":\"setban\",\"ip\":\"10.1.0.5\"";
+  for (const char* bad : {",\"port\":70000", ",\"port\":-1", ",\"port\":8333.5",
+                          ",\"port\":\"8333\""}) {
+    EXPECT_EQ(f.Call(ban + bad + "}"),
+              "{\"error\":\"setban: port must be an integer in 0-65535\"}")
+        << bad;
+  }
+  // 1e10 s overflows int64 nanoseconds; 1e300 s overflows the conversion.
+  for (const char* bad : {",\"seconds\":1e300", ",\"seconds\":1e10", ",\"seconds\":0",
+                          ",\"seconds\":-60", ",\"seconds\":null"}) {
+    EXPECT_EQ(f.Call(ban + ",\"port\":8333" + bad + "}"),
+              "{\"error\":\"setban: seconds must be positive and end the ban within "
+              "the clock's range\"}")
+        << bad;
+  }
+  EXPECT_EQ(f.node.Bans().Size(), 0u);
+
+  // The loop's clock is wall time, so the expiry is bracketed, not exact.
+  const bsim::SimTime before = f.sched.Now();
+  EXPECT_EQ(f.Call(ban + ",\"port\":8333,\"seconds\":60}"), "{\"result\":\"banned\"}");
+  const bsim::SimTime until = f.node.Bans().BanExpiry({0x0a010005, 8333});
+  EXPECT_GE(until, before + 60 * bsim::kSecond);
+  EXPECT_LE(until, f.sched.Now() + 60 * bsim::kSecond);
+  EXPECT_EQ(f.Call("{\"method\":\"banlist\"}"),
+            "{\"result\":[{\"addr\":\"10.1.0.5:8333\",\"until_ns\":" +
+                std::to_string(until) + "}]}");
+  EXPECT_EQ(f.Call(ban + ",\"port\":8333,\"remove\":true}"), "{\"result\":\"unbanned\"}");
+  EXPECT_EQ(f.Call("{\"method\":\"banlist\"}"), "{\"result\":[]}");
+  EXPECT_EQ(f.Call("{\"method\":\"getpeerinfo\"}"), "{\"result\":[]}");
+  EXPECT_EQ(f.Call("{\"method\":\"nope\"}"), "{\"error\":\"unknown method: nope\"}");
 }
 
 TEST(RealTransportConnect, RefusalReportsAsynchronouslyAndCountsFailure) {
