@@ -139,10 +139,10 @@ if [ "$run_asan" = 1 ]; then
 fi
 
 if [ "$run_tsan" = 1 ]; then
-  # The simulator is single-threaded, but the bsobs metrics/trace/span/
+  # The simulator is single-threaded, but the bsobs metrics/span/
   # profiler planes are shared with scrape threads in obs_test and
   # span_test; TSan covers those and the chaos harness (which stresses the
-  # trace ring hardest).
+  # event ring hardest).
   echo "==> sanitizers: TSan build + chaos/sim/obs ctest slice"
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -150,7 +150,7 @@ if [ "$run_tsan" = 1 ]; then
   cmake --build build-tsan -j
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-    -R 'Chaos|Fault|EventTrace|Metrics|Span|Profiler|Transport'
+    -R 'Chaos|Fault|Obs|Metrics|Span|Profiler|Transport'
 fi
 
 echo "==> all checks passed"
