@@ -1671,8 +1671,8 @@ void Usage() {
       "           victim, with a listen-only tip-probe witness; exit 0 iff\n"
       "           the victim ends within 1 block of the miner)\n"
       "  timeline --scenario defame-post|defame-pre|sybil --peer a.b.c.d\n"
-      "          (seeded run under a shared span tracer; prints the merged\n"
-      "           span+event timeline and walks the final ban's causal chain;\n"
+      "          (seeded run under a shared span tracer; prints its one\n"
+      "           event log and walks the final ban's causal chain;\n"
       "           exit 0 iff the chain is complete and crosses nodes)\n"
       "  fuzz --harness codec|tracker|store|addrman|sha256|diff|all --seeds N\n"
       "          --seed-base B --iters I --corpus DIR --artifacts DIR\n"
