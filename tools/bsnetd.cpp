@@ -15,7 +15,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -143,7 +142,8 @@ bool ParseFlags(int argc, char** argv, DaemonFlags& f) {
     } else if (flag == "--fault-seed") {
       ok = ParseCount(value, 0, kMaxSeed, f.faults.seed);
     } else {
-      ok = false;
+      std::fprintf(stderr, "bsnetd: unknown flag %s\n", flag.c_str());
+      return false;
     }
     if (!ok) {
       std::fprintf(stderr, "bsnetd: bad value '%s' for %s\n", value.c_str(), flag.c_str());
