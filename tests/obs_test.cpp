@@ -1,6 +1,7 @@
 // Tests for bsobs: metric cell semantics, histogram bucket boundaries,
 // registry handle rules, exporter golden strings and a concurrent-increment
-// smoke test (the event ring is tested with SpanLog in span_test). Also covers the Monitor::ExportCsv
+// smoke test (the event ring's wraparound and Clear are checked here; the rest
+// of SpanLog is tested in span_test). Also covers the Monitor::ExportCsv
 // unwritable-path branch (it reports failure via the structured logger).
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "detect/monitor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/span.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 
@@ -146,6 +148,46 @@ TEST(ObsExport, JsonGolden) {
       "{\"le\":2,\"count\":1},{\"le\":\"+Inf\",\"count\":2}],"
       "\"sum\":4,\"count\":2}}}";
   EXPECT_EQ(reg.RenderJson(), expected);
+}
+
+// ---------------------------------------------------------------------------
+// Event ring (SpanLog) wraparound and Clear, as the node's event log sees it
+
+TEST(ObsTrace, WraparoundCountsDropsAndKeepsNewest) {
+  bsobs::SpanLog trace(4);
+  for (int i = 0; i < 10; ++i) {
+    bsobs::SpanRecord rec;
+    rec.time = i;
+    rec.kind = bsobs::SpanKind::kDrop;
+    rec.peer_id = 7;
+    rec.a = i;
+    trace.Record(rec);
+  }
+  EXPECT_EQ(trace.Capacity(), 4u);
+  EXPECT_EQ(trace.Size(), 4u);
+  EXPECT_EQ(trace.Recorded(), 10u);
+  EXPECT_EQ(trace.Dropped(), 6u);
+  const std::vector<bsobs::SpanRecord> events = trace.Snapshot();
+  ASSERT_EQ(events.size(), 4u);
+  // Oldest first, holding the newest four records (times 6..9).
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(events[i].time, 6 + i);
+    EXPECT_EQ(events[i].a, 6 + i);
+    EXPECT_EQ(events[i].peer_id, 7u);
+  }
+}
+
+TEST(ObsTrace, ClearResetsRetainedButNotTotals) {
+  bsobs::SpanLog trace(4);
+  bsobs::SpanRecord ban;
+  ban.time = 1;
+  ban.kind = bsobs::SpanKind::kBan;
+  ban.peer_id = 1;
+  ban.a = 100;
+  trace.Record(ban);
+  trace.Clear();
+  EXPECT_EQ(trace.Size(), 0u);
+  EXPECT_TRUE(trace.Snapshot().empty());
 }
 
 // ---------------------------------------------------------------------------
