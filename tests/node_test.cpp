@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <variant>
 #include <vector>
 
 #include "attack/attacker.hpp"
@@ -69,6 +71,23 @@ TEST_F(NodeFixture, InboundHandshakeCompletes) {
   EXPECT_TRUE(peer->HandshakeComplete());
   EXPECT_TRUE(peer->inbound);
   EXPECT_EQ(node.InboundCount(), 1u);
+}
+
+// Values a default node runs with that no NodeConfig field selects: the
+// VERSION it announces, the tracker cap, and the partition monitor's clock.
+TEST_F(NodeFixture, DefaultNodeRunsWithFixedConstants) {
+  AttackSession* session = attacker.OpenSession({kTargetIp, 8333});
+  std::optional<bsproto::VersionMsg> version;
+  session->on_message = [&](AttackSession&, const bsproto::Message& msg) {
+    if (const auto* v = std::get_if<bsproto::VersionMsg>(&msg)) version = *v;
+  };
+  Settle();
+  ASSERT_TRUE(version.has_value());
+  EXPECT_EQ(version->version, bsproto::kProtocolVersion);
+  EXPECT_EQ(version->services, bsproto::kNodeNetwork | bsproto::kNodeWitness);
+  EXPECT_EQ(node.Tracker().MaxEntries(), 65536u);
+  EXPECT_EQ(node.Partition().Params().ladder_step, 5 * bsim::kSecond);
+  EXPECT_EQ(node.Partition().Params().expected_block_interval, 3 * bsim::kSecond);
 }
 
 TEST_F(NodeFixture, DuplicateVersionScoresOneEach) {
