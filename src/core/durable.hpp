@@ -55,7 +55,6 @@ class DurableNodeState {
 
   /// Forwarded to the store; attach before Open to capture replay counts.
   void AttachMetrics(bsobs::MetricsRegistry& registry);
-  void SetCompactThreshold(std::size_t txns) { store_.SetCompactThreshold(txns); }
 
   /// Replay durable state into the components (bans already expired at `now`
   /// are dropped and counted), then wire the live hooks. False when the

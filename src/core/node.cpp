@@ -24,6 +24,33 @@ namespace {
 /// it only binds on a pathological single delivery.
 constexpr std::size_t kMaxRxBufferBytes = 8 * 1024 * 1024;
 
+/// Outbound-maintenance tick: refill slots, run the eclipse and partition
+/// maintenance.
+constexpr bsim::SimTime kMaintenanceInterval = 1 * bsim::kSecond;
+/// Redial delay after a lost outbound session; with reconnect_backoff on,
+/// the base the delay doubles from, randomized by ±kReconnectBackoffJitter.
+constexpr bsim::SimTime kReconnectDelay = 500 * bsim::kMillisecond;
+constexpr double kReconnectBackoffJitter = 0.25;
+/// enable_rate_limit: each peer's rx byte bucket (fill rate and burst).
+constexpr double kRxBytesPerSec = 2.0 * 1024 * 1024;
+constexpr double kRxBytesBurst = 8.0 * 1024 * 1024;
+/// Share of the CPU governor's burst capacity that low-priority peers
+/// cannot draw below (normal-priority peers stop at one reserve, low at two).
+constexpr double kGovernorLowPriorityReserve = 0.2;
+/// enable_priority: droppable frames (bad checksum, unknown command,
+/// malformed) after which a peer drains at low priority, and the factor a
+/// low-priority frame's bucket/governor costs are divided by.
+constexpr std::uint64_t kDemoteBadFramesThreshold = 50;
+constexpr double kLowPriorityCostScale = 0.25;
+/// MisbehaviorTracker entry cap; see MisbehaviorTracker::SetMaxEntries.
+constexpr std::size_t kTrackerMaxEntries = 65536;
+/// enable_anchors: outbound peers remembered as anchors.
+constexpr std::size_t kAnchorCount = 2;
+/// Partition resilience: peers sampled per tip-probe round, and feeler probes
+/// launched toward unrepresented netgroups at the ladder's first stage.
+constexpr int kPartitionProbeFanout = 2;
+constexpr int kPartitionFeelerBurst = 2;
+
 /// Unhooks the node's data sink and close callback; on_connected has
 /// already fired for every registered peer's connection.
 void DetachConn(TransportConn& conn) {
@@ -52,30 +79,22 @@ Node::Node(bsim::Scheduler& sched, std::unique_ptr<Transport> owned,
       cpu_(cpu),
       rng_(config_.rng_seed ^ ip_),
       chain_(config_.chain),
-      tracker_(config_.core_version, config_.ban_policy, config_.ban_threshold,
-               config_.good_score_exemption),
-      partition_([this] {
-        PartitionParams p;
-        p.expected_block_interval = config_.partition_expected_block_interval;
-        p.divergence_blocks = config_.partition_divergence_blocks;
-        p.suspicion_high = config_.partition_suspicion_high;
-        p.suspicion_low = config_.partition_suspicion_low;
-        p.ladder_step = config_.partition_ladder_step;
-        return p;
-      }()),
+      tracker_(config_.core_version, config_.ban_policy, config_.ban_threshold),
+      partition_(PartitionParams{config_.partition_expected_block_interval,
+                                 config_.partition_ladder_step}),
       tracer_(config_.span_tracer),
       owned_log_(tracer_ == nullptr
                      ? std::make_unique<bsobs::SpanLog>(config_.trace_capacity)
                      : nullptr),
       log_(tracer_ != nullptr ? &tracer_->Log() : owned_log_.get()),
       profiler_(config_.profiler) {
-  tracker_.SetMaxEntries(config_.tracker_max_entries);
+  tracker_.SetMaxEntries(kTrackerMaxEntries);
   if (config_.governor_cycles_per_sec > 0) {
     const double burst = config_.governor_burst_cycles > 0
                              ? config_.governor_burst_cycles
                              : config_.governor_cycles_per_sec;
     governor_.emplace(config_.governor_cycles_per_sec, burst,
-                      config_.governor_low_priority_reserve, sched.Now());
+                      kGovernorLowPriorityReserve, sched.Now());
   }
   if (config_.metrics != nullptr) {
     metrics_ = config_.metrics;
@@ -171,7 +190,6 @@ Node::Node(bsim::Scheduler& sched, std::unique_ptr<Transport> owned,
                                 : config_.store_dir;
     durable_ = std::make_unique<DurableNodeState>(store_fs, dir, banman_, tracker_,
                                                   addrman_);
-    durable_->SetCompactThreshold(config_.store_compact_threshold);
     durable_->AttachMetrics(reg);
     if (!durable_->Open(sched.Now())) durable_.reset();  // run volatile
   }
@@ -375,10 +393,7 @@ PeerPriority Node::PriorityOf(const Peer& peer) const {
                                   peer.frames_malformed;
   // Demotion outranks good-score promotion: one lucky valid block must not
   // buy an exemption from flood shedding.
-  if (peer.detect_flagged ||
-      (config_.demote_bad_frames_threshold > 0 &&
-       droppable >=
-           static_cast<std::uint64_t>(config_.demote_bad_frames_threshold))) {
+  if (peer.detect_flagged || droppable >= kDemoteBadFramesThreshold) {
     return PeerPriority::kLow;
   }
   if (tracker_.GoodScore(peer.id) > 0) return PeerPriority::kHigh;
@@ -440,8 +455,7 @@ Peer& Node::RegisterPeer(TransportConn& conn, bool inbound, bool feeler) {
     // Newcomers open with one second of fill, not a full burst: eviction
     // churn must not mint fresh burst-sized credit for every Sybil rebirth.
     peer->rx_bytes_bucket =
-        TokenBucket(config_.rx_bytes_burst, config_.rx_bytes_per_sec,
-                    peer->connected_at, config_.rx_bytes_per_sec);
+        TokenBucket(kRxBytesBurst, kRxBytesPerSec, peer->connected_at, kRxBytesPerSec);
     peer->rx_cost_bucket =
         TokenBucket(config_.rx_cycles_burst, config_.rx_cycles_per_sec,
                     peer->connected_at, config_.rx_cycles_per_sec);
@@ -592,7 +606,7 @@ void Node::MaintainOutbound() {
   if (OutboundCount() >= static_cast<std::size_t>(config_.target_outbound)) {
     initial_outbound_fill_done_ = true;
   }
-  Sched().After(config_.maintenance_interval, [this]() { MaintainOutbound(); });
+  Sched().After(kMaintenanceInterval, [this]() { MaintainOutbound(); });
 }
 
 void Node::MaintainStaleTip(bsim::SimTime now) {
@@ -729,8 +743,7 @@ void Node::SendTipProbes(bsim::SimTime now) {
   // round samples the same peers on every run of the same seed.
   std::sort(candidates.begin(), candidates.end(),
             [](const Peer* a, const Peer* b) { return a->id < b->id; });
-  const int fanout = std::max(config_.partition_probe_fanout, 1);
-  for (int i = 0; i < fanout && !candidates.empty(); ++i) {
+  for (int i = 0; i < kPartitionProbeFanout && !candidates.empty(); ++i) {
     const std::size_t pick =
         static_cast<std::size_t>(rng_.Below(candidates.size()));
     Peer* peer = candidates[pick];
@@ -755,7 +768,7 @@ void Node::RunPartitionStage(PartitionMonitor::Stage stage, bsim::SimTime now) {
     case PartitionMonitor::Stage::kNone:
       return;
     case PartitionMonitor::Stage::kFeelerBurst:
-      for (int i = 0; i < config_.partition_feeler_burst; ++i) {
+      for (int i = 0; i < kPartitionFeelerBurst; ++i) {
         if (!LaunchTargetedFeeler()) break;
       }
       return;
@@ -844,9 +857,7 @@ void Node::UpdateAnchors(const Endpoint& remote) {
   const auto pos = std::find(anchors_.begin(), anchors_.end(), remote);
   if (pos != anchors_.end()) anchors_.erase(pos);
   anchors_.insert(anchors_.begin(), remote);
-  if (anchors_.size() > static_cast<std::size_t>(std::max(config_.anchor_count, 0))) {
-    anchors_.resize(static_cast<std::size_t>(std::max(config_.anchor_count, 0)));
-  }
+  if (anchors_.size() > kAnchorCount) anchors_.resize(kAnchorCount);
   if (durable_ != nullptr) durable_->SetAnchors(anchors_);
 }
 
@@ -906,15 +917,15 @@ void Node::NoteOutboundFailure(const Endpoint& remote) {
 }
 
 bsim::SimTime Node::RetryDelay(int failures) {
-  if (!config_.reconnect_backoff) return config_.reconnect_delay;
-  // reconnect_delay · 2^(failures-1), capped; the shift itself is bounded so
+  if (!config_.reconnect_backoff) return kReconnectDelay;
+  // kReconnectDelay · 2^(failures-1), capped; the shift itself is bounded so
   // the cap comparison never sees a wrapped value.
   const int shift = std::min(failures - 1, 20);
   const bsim::SimTime delay =
-      std::min(config_.reconnect_delay << shift, config_.reconnect_backoff_cap);
+      std::min(kReconnectDelay << shift, config_.reconnect_backoff_cap);
   // ±jitter desynchronizes redial herds after a common-mode outage.
   const double factor =
-      1.0 + config_.reconnect_backoff_jitter * (2.0 * rng_.NextDouble() - 1.0);
+      1.0 + kReconnectBackoffJitter * (2.0 * rng_.NextDouble() - 1.0);
   return static_cast<bsim::SimTime>(static_cast<double>(delay) * factor);
 }
 
@@ -1103,10 +1114,7 @@ bool Node::AdmitFrame(Peer& peer, const bsproto::DecodeResult& frame,
   if (config_.enable_priority && frame.status != bsproto::DecodeStatus::kOk) {
     priority = PeerPriority::kLow;
   }
-  const double scale = priority == PeerPriority::kLow &&
-                               config_.low_priority_cost_scale > 0
-                           ? 1.0 / config_.low_priority_cost_scale
-                           : 1.0;
+  const double scale = priority == PeerPriority::kLow ? 1.0 / kLowPriorityCostScale : 1.0;
   const double byte_cost = static_cast<double>(frame_bytes) * scale;
   const double cycle_cost = cost * scale;
 
@@ -1141,7 +1149,6 @@ bool Node::AdmitFrame(Peer& peer, const bsproto::DecodeResult& frame,
   if (cpu_) cpu_->ConsumeCycles(kRateLimitDropCycles);
   RecordSpan(bsobs::SpanKind::kShed, peer.id, static_cast<std::int64_t>(frame_bytes),
              governor_shed ? 1 : 0, rx_ctx_);
-  if (on_frame_shed) on_frame_shed(peer, frame_bytes, governor_shed);
   return false;
 }
 
@@ -1155,8 +1162,8 @@ void Node::ApplyMisbehavior(Peer& peer, Misbehavior what) {
   const bool partition_symptom = what == Misbehavior::kBlockPrevMissing ||
                                  what == Misbehavior::kHeadersNonConnecting ||
                                  what == Misbehavior::kHeadersNonContinuous;
-  if (config_.enable_partition_resilience && config_.partition_damping &&
-      partition_.SuspicionHigh() && partition_symptom) {
+  if (config_.enable_partition_resilience && partition_.SuspicionHigh() &&
+      partition_symptom) {
     // Divergence sync: the symptom itself says the sender knows chain we do
     // not. Ask it for headers (rate-limited per peer) so its follow-up blocks
     // connect instead of re-offending — a reconverged neighbor then pulls us
@@ -1323,9 +1330,7 @@ void Node::ProcessMessage(Peer& peer, const Message& msg) {
 // Handshake
 
 bsproto::VersionMsg Node::MakeVersionMsg(const Peer& peer) {
-  bsproto::VersionMsg msg;
-  msg.version = config_.protocol_version;
-  msg.services = config_.services;
+  bsproto::VersionMsg msg;  // kProtocolVersion, kNodeNetwork | kNodeWitness
   msg.timestamp = static_cast<std::int64_t>(Sched().Now() / bsim::kSecond);
   msg.addr_recv.endpoint = peer.remote;
   msg.addr_from.endpoint = Endpoint{Ip(), config_.listen_port};
@@ -1548,7 +1553,6 @@ void Node::AcceptBlockFrom(Peer& peer, const bschain::Block& block) {
       tracker_.AddGoodScore(peer.id);
       peer.last_block_time = Sched().Now();  // eviction protection tier 4
       if (!peer.inbound && !peer.feeler) UpdateAnchors(peer.remote);
-      if (on_block_accepted) on_block_accepted(block);
       if (config_.relay) RelayInv(bsproto::InvType::kBlock, block.Hash(), peer.id);
       return;
     case bschain::BlockResult::kDuplicate:
@@ -1761,7 +1765,6 @@ std::optional<bschain::Block> Node::MineAndRelay() {
   auto block = bschain::MineBlock(std::move(tmpl), config_.chain);
   if (!block) return std::nullopt;
   if (chain_.AcceptBlock(*block) != bschain::BlockResult::kOk) return std::nullopt;
-  if (on_block_accepted) on_block_accepted(*block);
   RelayInv(bsproto::InvType::kBlock, block->Hash(), /*except_peer=*/0);
   return block;
 }

@@ -63,7 +63,6 @@ struct NodeConfig {
   BanPolicy ban_policy = BanPolicy::kBanScore;
   int ban_threshold = 100;
   bsim::SimTime ban_duration = 24 * bsim::kHour;
-  int good_score_exemption = 1;  // kGoodScore policy: credit exempting a peer
   /// Core 0.21+ semantics: on threshold, discourage the peer's IP (no
   /// expiry, whole IP) instead of banning the [IP:Port] identifier for 24 h.
   /// Off by default — the paper's experiments ran the 0.20.0 banning regime.
@@ -72,8 +71,6 @@ struct NodeConfig {
   std::uint16_t listen_port = 8333;
   int max_inbound = 117;    // Core's 117-of-128 inbound slots
   int target_outbound = 8;  // outbound connections the node maintains
-  bsim::SimTime reconnect_delay = 500 * bsim::kMillisecond;
-  bsim::SimTime maintenance_interval = 1 * bsim::kSecond;
   /// Keepalive: PING handshake-complete peers this often (0 = disabled,
   /// the default — scenario benches drive their own traffic).
   bsim::SimTime ping_interval = 0;
@@ -91,13 +88,12 @@ struct NodeConfig {
   /// unanswered for this long (0 = disabled; needs ping_interval to be on).
   bsim::SimTime ping_timeout = 0;
   /// Outbound-reconnect exponential backoff: after each consecutive failure
-  /// to an endpoint the redial delay doubles from `reconnect_delay` up to
-  /// `reconnect_backoff_cap`, with ±`reconnect_backoff_jitter` randomization.
-  /// Off by default — the stock node redials on the next maintenance tick,
-  /// which is what makes serial-Sybil/Defamation churn cheap for attackers.
+  /// to an endpoint the redial delay doubles from 500 ms up to
+  /// `reconnect_backoff_cap`, with ±25 % randomization. Off by default — the
+  /// stock node redials on the next maintenance tick, which is what makes
+  /// serial-Sybil/Defamation churn cheap for attackers.
   bool reconnect_backoff = false;
   bsim::SimTime reconnect_backoff_cap = 60 * bsim::kSecond;
-  double reconnect_backoff_jitter = 0.25;
   /// Hard cap on tracked backoff endpoints (same LRU treatment as
   /// MisbehaviorTracker::SetMaxEntries): when a churning dialer pushes the
   /// map past this, the entry with the earliest redial time is evicted, so
@@ -111,31 +107,25 @@ struct NodeConfig {
   /// the newcomer. Off = the stock flat refusal, which lets a Sybil flood
   /// that fills the slots first lock honest newcomers out.
   bool enable_eviction = false;
-  /// Per-peer token buckets over rx bytes/sec and costmodel-weighted cycles
-  /// per second. A frame that would overdraw either bucket is shed, charging
-  /// the modelled CPU kRateLimitDropCycles instead of its checksum cost.
+  /// Per-peer token buckets over rx bytes/sec (2 MiB/s, 8 MiB burst) and
+  /// costmodel-weighted cycles per second. A frame that would overdraw either
+  /// bucket is shed, charging the modelled CPU kRateLimitDropCycles instead
+  /// of its checksum cost.
   bool enable_rate_limit = false;
-  double rx_bytes_per_sec = 2.0 * 1024 * 1024;
-  double rx_bytes_burst = 8.0 * 1024 * 1024;
   double rx_cycles_per_sec = 5.0e7;
   double rx_cycles_burst = 2.0e8;
   /// Global CPU-budget governor over all peers' receive processing, in model
   /// cycles/sec (0 = no governor). Low-priority peers cannot draw the bucket
-  /// below `governor_low_priority_reserve` of its burst capacity, so when
-  /// the budget is exhausted the lowest-priority work is shed first.
+  /// below a fixed reserve of its burst capacity, so when the budget is
+  /// exhausted the lowest-priority work is shed first.
   double governor_cycles_per_sec = 0.0;
   double governor_burst_cycles = 0.0;  // 0 = one second of budget
-  double governor_low_priority_reserve = 0.2;
   /// Priority-aware rx processing: peers flagged by the detect engine
   /// (FlagPeer) or that keep sending droppable frames drain at low priority
-  /// — their bucket/governor costs scale by 1/low_priority_cost_scale and
-  /// the governor sheds them first. Peers with good-score credit (valid
-  /// blocks delivered, §VIII) drain at high priority.
+  /// — their bucket/governor costs scale up and the governor sheds them
+  /// first. Peers with good-score credit (valid blocks delivered, §VIII)
+  /// drain at high priority.
   bool enable_priority = false;
-  int demote_bad_frames_threshold = 50;
-  double low_priority_cost_scale = 0.25;
-  /// MisbehaviorTracker entry cap (0 = unbounded); see SetMaxEntries.
-  std::size_t tracker_max_entries = 65536;
 
   // ---- Crash-consistent state store (beyond-paper; off by default so the
   // legacy volatile paths — and the fig6/fig8 benches over them — stay
@@ -149,8 +139,6 @@ struct NodeConfig {
   /// Filesystem backend; null = the real POSIX filesystem. Tests inject a
   /// bsim::SimFs here to exercise crash points. Not owned.
   bsstore::StoreFs* store_fs = nullptr;
-  /// Journal transactions between snapshots (StateStore::SetCompactThreshold).
-  std::size_t store_compact_threshold = 256;
 
   // ---- Eclipse resilience (beyond-paper; every switch defaults off so the
   // stock node — and the fig6/fig8 benches over it — stays bit-identical.
@@ -159,11 +147,10 @@ struct NodeConfig {
   /// netgroup-quota placement caps how much of the candidate table one /16
   /// can ever own, Good()/Attempt() track which addresses actually work.
   bool enable_addrman_bucketing = false;
-  /// Remember the last `anchor_count` outbound peers that delivered a valid
-  /// block and re-dial them first after a restart (persisted through the
-  /// durable store, so this wants enable_durable_store for crash survival).
+  /// Remember the last two outbound peers that delivered a valid block and
+  /// re-dial them first after a restart (persisted through the durable
+  /// store, so this wants enable_durable_store for crash survival).
   bool enable_anchors = false;
-  int anchor_count = 2;
   /// Periodic short-lived probe connections to `new`-table addresses: a
   /// completed handshake promotes the address to tried, then the connection
   /// closes. Feelers verify the table faster than organic dial churn, which
@@ -185,33 +172,23 @@ struct NodeConfig {
   // node — and the fig6/fig8 benches over it — stays bit-identical. See
   // README "Partition resilience") ----
   /// Master switch: run the PartitionMonitor (core/partition.hpp), exchange
-  /// gossip tip-probes, and walk the graduated recovery ladder when the
-  /// fused partition-suspicion score stays high.
+  /// gossip tip-probes, walk the graduated recovery ladder when the fused
+  /// partition-suspicion score stays high, and damp misbehavior while it is
+  /// high: stale-block / disordered-header penalties against peers holding
+  /// good-score credit are deferred instead of scored — an honest peer on
+  /// the far side of a routing cut relays exactly that traffic, and banning
+  /// it would turn a transient partition into a permanent eclipse.
   bool enable_partition_resilience = false;
-  /// Send a tip-probe round (kTipProbe to `partition_probe_fanout` randomly
-  /// sampled handshake-complete peers) this often.
+  /// Send a tip-probe round (kTipProbe to two randomly sampled
+  /// handshake-complete peers) this often.
   bsim::SimTime partition_probe_interval = 5 * bsim::kSecond;
-  int partition_probe_fanout = 2;
-  /// PartitionMonitor tuning (copied into PartitionParams at construction).
+  /// PartitionMonitor clock (copied into PartitionParams at construction):
+  /// the inter-block prior before any arrival is seen, and the time at
+  /// sustained high suspicion before each successive ladder stage.
   bsim::SimTime partition_expected_block_interval = 3 * bsim::kSecond;
-  int partition_divergence_blocks = 2;
-  double partition_suspicion_high = 0.5;
-  double partition_suspicion_low = 0.2;
   bsim::SimTime partition_ladder_step = 5 * bsim::kSecond;
-  /// Feeler probes launched toward unrepresented netgroups when the ladder
-  /// reaches its first stage.
-  int partition_feeler_burst = 2;
-  /// Partition-aware misbehavior damping: while suspicion is high, stale-
-  /// block / disordered-header penalties against peers holding good-score
-  /// credit are deferred instead of scored — an honest peer on the far side
-  /// of a routing cut relays exactly that traffic, and banning it would turn
-  /// a transient partition into a permanent eclipse. Only consulted when
-  /// enable_partition_resilience is on.
-  bool partition_damping = true;
 
   bschain::ChainParams chain;
-  std::uint64_t services = bsproto::kNodeNetwork | bsproto::kNodeWitness;
-  std::int32_t protocol_version = bsproto::kProtocolVersion;
   bool relay = true;  // announce accepted blocks/txs to peers
 
   /// Ablation flag: when false, the misbehavior check runs before the
@@ -336,7 +313,6 @@ class Node {
   const NodeConfig& Config() const { return config_; }
   std::uint32_t Ip() const { return ip_; }
   bsim::Scheduler& Sched() const { return sched_; }
-  bsnet::Transport& NetTransport() { return *transport_; }
 
   // ---- Chain / pool / tracking state ----
   bschain::ChainState& Chain() { return chain_; }
@@ -388,7 +364,6 @@ class Node {
   PeerPriority PriorityOf(const Peer& peer) const;
 
   // ---- Sending ----
-  void SendTo(Peer& peer, const bsproto::Message& msg);
   /// Send to the first handshake-complete peer whose remote IP is `ip`
   /// (workload generators address counterpart nodes this way). Returns false
   /// when no such session exists.
@@ -407,11 +382,7 @@ class Node {
   std::function<void(const Peer&)> on_peer_banned;
   /// Fired just before an inbound peer is evicted to admit a newcomer.
   std::function<void(const Peer&)> on_peer_evicted;
-  /// Fired when the rate limiter or CPU governor sheds a frame; `governor`
-  /// distinguishes a global-budget shed from a per-peer bucket refusal.
-  std::function<void(const Peer&, std::size_t frame_bytes, bool governor)> on_frame_shed;
   std::function<void(const Endpoint&)> on_outbound_reconnect;
-  std::function<void(const bschain::Block&)> on_block_accepted;
 
   // ---- Aggregate stats ----
   // Thin wrappers over the registry-backed metrics: the historical getter API
@@ -529,7 +500,7 @@ class Node {
   /// advances), send scheduled tip-probe rounds, and execute newly reached
   /// recovery-ladder stages.
   void MaintainPartition(bsim::SimTime now);
-  /// Send one tip-probe round to `partition_probe_fanout` sampled peers.
+  /// Send one tip-probe round to a few sampled peers.
   void SendTipProbes(bsim::SimTime now);
   /// Our current tip as a probe payload (`nonce` echoed by the responder).
   bsproto::TipProbeMsg MakeTipProbe(std::uint64_t nonce) const;
@@ -621,6 +592,7 @@ class Node {
   void RelayInv(bsproto::InvType type, const bscrypto::Hash256& hash,
                 std::uint64_t except_peer);
   bsproto::VersionMsg MakeVersionMsg(const Peer& peer);
+  void SendTo(Peer& peer, const bsproto::Message& msg);
 
   bsim::Scheduler& sched_;
   std::unique_ptr<Transport> owned_transport_;  // null when injected

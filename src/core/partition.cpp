@@ -2,6 +2,26 @@
 
 namespace bsnet {
 
+namespace {
+
+/// EWMA smoothing factor for observed inter-block intervals.
+constexpr double kEwmaAlpha = 0.3;
+/// The staleness signal saturates at this many EWMA intervals without a tip
+/// advance (below one interval it contributes nothing).
+constexpr double kStaleMultiple = 4.0;
+/// Height gap to a probe-reported tip that counts as divergence.
+constexpr int kDivergenceBlocks = 2;
+/// Suspicion hysteresis band: the high threshold arms the recovery ladder,
+/// the low threshold disarms it.
+constexpr double kSuspicionHigh = 0.5;
+constexpr double kSuspicionLow = 0.2;
+/// Signal fusion weights (need not sum to 1; suspicion is clamped to [0,1]).
+constexpr double kWeightStale = 0.45;
+constexpr double kWeightDiversity = 0.15;
+constexpr double kWeightDivergence = 0.55;
+
+}  // namespace
+
 const char* ToString(PartitionMonitor::Stage stage) {
   switch (stage) {
     case PartitionMonitor::Stage::kNone: return "none";
@@ -20,8 +40,8 @@ void PartitionMonitor::OnTipAdvance(bsim::SimTime now, int height) {
       ewma_interval_ = interval;
     } else {
       ewma_interval_ = static_cast<bsim::SimTime>(
-          params_.ewma_alpha * static_cast<double>(interval) +
-          (1.0 - params_.ewma_alpha) * static_cast<double>(ewma_interval_));
+          kEwmaAlpha * static_cast<double>(interval) +
+          (1.0 - kEwmaAlpha) * static_cast<double>(ewma_interval_));
     }
   }
   last_tip_advance_ = now > 0 ? now : 1;
@@ -44,7 +64,7 @@ void PartitionMonitor::NoteNetgroupDiversity(std::size_t distinct_groups) {
 
 void PartitionMonitor::PruneStale(bsim::SimTime now) {
   for (auto it = observations_.begin(); it != observations_.end();) {
-    if (now - it->second.time > params_.probe_freshness) {
+    if (now - it->second.time > kProbeFreshness) {
       it = observations_.erase(it);
     } else {
       ++it;
@@ -96,10 +116,10 @@ double PartitionMonitor::Update(bsim::SimTime now, int our_height,
       ewma_interval_ > 0 ? ewma_interval_ : params_.expected_block_interval;
 
   // Signal 1: staleness. Zero up to one EWMA interval (a block being a bit
-  // late is normal), saturating at stale_multiple intervals without progress.
+  // late is normal), saturating at kStaleMultiple intervals without progress.
   const double since = static_cast<double>(now - last_tip_advance_);
   const double one = static_cast<double>(ewma);
-  const double span = one * std::max(params_.stale_multiple - 1.0, 0.1);
+  const double span = one * (kStaleMultiple - 1.0);
   stale_signal_ = std::clamp((since - one) / span, 0.0, 1.0);
 
   // Signal 2: netgroup-diversity drawdown against the watermark.
@@ -110,32 +130,31 @@ double PartitionMonitor::Update(bsim::SimTime now, int our_height,
                        0.0, 1.0)
           : 0.0;
 
-  // Signal 3: tip-probe disagreement. A fresh reply `divergence_blocks` or
+  // Signal 3: tip-probe disagreement. A fresh reply kDivergenceBlocks or
   // more ahead of our tip is hard evidence we are behind; the signal ramps
   // with the gap.
   divergence_signal_ = 0.0;
   if (const auto best = BestRemoteHeight()) {
     const int gap = *best - our_height;
-    if (gap >= params_.divergence_blocks && params_.divergence_blocks > 0) {
+    if (gap >= kDivergenceBlocks) {
       divergence_signal_ = std::clamp(
-          static_cast<double>(gap) /
-              static_cast<double>(2 * params_.divergence_blocks),
+          static_cast<double>(gap) / static_cast<double>(2 * kDivergenceBlocks),
           0.0, 1.0);
     }
   }
 
-  suspicion_ = std::clamp(params_.weight_stale * stale_signal_ +
-                              params_.weight_diversity * diversity_signal_ +
-                              params_.weight_divergence * divergence_signal_,
+  suspicion_ = std::clamp(kWeightStale * stale_signal_ +
+                              kWeightDiversity * diversity_signal_ +
+                              kWeightDivergence * divergence_signal_,
                           0.0, 1.0);
 
   // Hysteresis + ladder clock. Between the thresholds the current state
   // holds, so suspicion oscillating around one threshold cannot flap the
   // recovery machinery.
-  if (!high_ && suspicion_ >= params_.suspicion_high) {
+  if (!high_ && suspicion_ >= kSuspicionHigh) {
     high_ = true;
     high_since_ = now;
-  } else if (high_ && suspicion_ <= params_.suspicion_low) {
+  } else if (high_ && suspicion_ <= kSuspicionLow) {
     high_ = false;
     high_since_ = 0;
     stage_ = Stage::kNone;

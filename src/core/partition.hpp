@@ -38,30 +38,14 @@
 
 namespace bsnet {
 
-/// Tuning for the PartitionMonitor (NodeConfig carries the user-facing
-/// switches and copies them in here).
+/// The PartitionMonitor's clock. Its defaults live in NodeConfig
+/// (partition_expected_block_interval, partition_ladder_step), which the
+/// node copies in here.
 struct PartitionParams {
   /// Prior for the inter-block EWMA before any arrival is observed.
-  bsim::SimTime expected_block_interval = 3 * bsim::kSecond;
-  /// EWMA smoothing factor for observed inter-block intervals.
-  double ewma_alpha = 0.3;
-  /// The staleness signal saturates at stale_multiple × EWMA without a tip
-  /// advance (below one EWMA interval it contributes nothing).
-  double stale_multiple = 4.0;
-  /// Height gap to a probe-reported tip that counts as divergence.
-  int divergence_blocks = 2;
-  /// Probe observations older than this are dropped from the divergence set.
-  bsim::SimTime probe_freshness = 30 * bsim::kSecond;
-  /// Suspicion hysteresis band: the high threshold arms the recovery ladder,
-  /// the low threshold disarms it.
-  double suspicion_high = 0.5;
-  double suspicion_low = 0.2;
+  bsim::SimTime expected_block_interval;
   /// Time at sustained high suspicion before each successive ladder stage.
-  bsim::SimTime ladder_step = 10 * bsim::kSecond;
-  /// Signal fusion weights (need not sum to 1; suspicion is clamped to [0,1]).
-  double weight_stale = 0.45;
-  double weight_diversity = 0.15;
-  double weight_divergence = 0.55;
+  bsim::SimTime ladder_step;
 };
 
 class PartitionMonitor {
@@ -75,6 +59,9 @@ class PartitionMonitor {
     kEmergencySlot = 3,  // open one extra diversity-constrained outbound
     kRotate = 4,         // drop the most tip-divergent outbound peer
   };
+
+  /// Probe observations older than this are dropped from the divergence set.
+  static constexpr bsim::SimTime kProbeFreshness = 30 * bsim::kSecond;
 
   explicit PartitionMonitor(PartitionParams params) : params_(params) {}
 

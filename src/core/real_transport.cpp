@@ -10,6 +10,12 @@ namespace bsnet {
 
 namespace {
 
+/// Per-connection no-sink receive buffering cap (drop-oldest); a transport
+/// user may change it per connection with SetReceiveBufferCap.
+constexpr std::size_t kRecvBufferCap = 4 * 1024 * 1024;
+/// Max bytes drained from one connection per epoll wakeup (fairness).
+constexpr std::size_t kReadBudgetPerWakeup = 256 * 1024;
+
 bsim::SockAddr ToSockAddr(const bsproto::Endpoint& ep) {
   return bsim::SockAddr{ep.ip, ep.port};
 }
@@ -33,7 +39,7 @@ RealConn::RealConn(RealTransport& transport, std::uint64_t id, int fd,
       local_(local),
       remote_(remote),
       state_(state),
-      recv_buffer_cap_(transport.config_.recv_buffer_cap) {}
+      recv_buffer_cap_(kRecvBufferCap) {}
 
 void RealConn::SetDataSink(std::function<void(bsutil::ByteSpan)> sink) {
   on_data_ = std::move(sink);
@@ -298,7 +304,7 @@ void RealTransport::FinishConnect(RealConn& conn) {
 void RealTransport::ReadReady(RealConn& conn) {
   std::array<std::uint8_t, 64 * 1024> buf;
   std::size_t total = 0;
-  while (total < config_.read_budget_per_wakeup) {
+  while (total < kReadBudgetPerWakeup) {
     const long n = api_.Recv(conn.fd_, buf.data(), buf.size());
     if (n == -EAGAIN || n == -EWOULDBLOCK) return;
     if (n == -EINTR) continue;

@@ -45,10 +45,6 @@ struct RealTransportConfig {
   bsim::SimTime connect_timeout = 5 * bsim::kSecond;
   /// Per-connection write-queue cap; overflow sheds oldest whole frames.
   std::size_t max_write_queue_bytes = 8 * 1024 * 1024;
-  /// Per-connection no-sink receive buffering cap (drop-oldest).
-  std::size_t recv_buffer_cap = 4 * 1024 * 1024;
-  /// Max bytes drained from one connection per epoll wakeup (fairness).
-  std::size_t read_budget_per_wakeup = 256 * 1024;
   /// Optional registry for bs_rt_* counters. Not owned.
   bsobs::MetricsRegistry* metrics = nullptr;
 };

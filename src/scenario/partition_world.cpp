@@ -130,7 +130,7 @@ NodeConfig PartitionWorld::VictimConfig() {
   config.rng_seed = spec_.victim_seed;
   config.target_outbound = kTargetOutbound;
   if (spec_.hardened) {
-    config.enable_partition_resilience = true;  // partition_damping defaults on
+    config.enable_partition_resilience = true;  // damping included
     config.enable_anchors = true;
     config.enable_stale_tip_recovery = true;
     config.stale_tip_timeout = 15 * bsim::kSecond;

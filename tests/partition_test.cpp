@@ -19,13 +19,8 @@ using bsattack::AttackSession;
 using bsattack::Crafter;
 
 PartitionParams TestParams() {
-  PartitionParams p;
-  p.expected_block_interval = 3 * bsim::kSecond;
-  p.divergence_blocks = 2;
-  p.suspicion_high = 0.5;
-  p.suspicion_low = 0.2;
-  p.ladder_step = 5 * bsim::kSecond;
-  return p;
+  return PartitionParams{.expected_block_interval = 3 * bsim::kSecond,
+                         .ladder_step = 5 * bsim::kSecond};
 }
 
 // ---------------------------------------------------------------------------
@@ -63,10 +58,10 @@ TEST(PartitionMonitorTest, DivergenceSignalTracksProbeGap) {
   mon.OnProbeObservation(now, /*peer=*/7, /*height=*/10);
   mon.Update(now, /*our_height=*/10);
   EXPECT_DOUBLE_EQ(mon.DivergenceSignal(), 0.0);  // level: no divergence
-  mon.OnProbeObservation(now, 8, 12);  // gap == divergence_blocks
+  mon.OnProbeObservation(now, 8, 12);  // gap == the 2-block divergence bar
   mon.Update(now, 10);
   EXPECT_DOUBLE_EQ(mon.DivergenceSignal(), 0.5);
-  mon.OnProbeObservation(now, 9, 14);  // gap == 2 × divergence_blocks
+  mon.OnProbeObservation(now, 9, 14);  // gap == twice the bar
   mon.Update(now, 10);
   EXPECT_DOUBLE_EQ(mon.DivergenceSignal(), 1.0);
 }
@@ -76,8 +71,8 @@ TEST(PartitionMonitorTest, StaleObservationsExpire) {
   mon.OnProbeObservation(bsim::kSecond, 7, 100);
   mon.Update(2 * bsim::kSecond, 0);
   EXPECT_DOUBLE_EQ(mon.DivergenceSignal(), 1.0);
-  // Past probe_freshness the observation is pruned and the signal collapses.
-  mon.Update(2 * bsim::kSecond + mon.Params().probe_freshness + bsim::kSecond, 0);
+  // Past kProbeFreshness the observation is pruned and the signal collapses.
+  mon.Update(2 * bsim::kSecond + PartitionMonitor::kProbeFreshness + bsim::kSecond, 0);
   EXPECT_DOUBLE_EQ(mon.DivergenceSignal(), 0.0);
 }
 
