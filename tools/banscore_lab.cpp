@@ -371,14 +371,16 @@ int RunDetect(const Flags& flags) {
   }
 
   const auto result = engine.Detect(monitor.Window(sched.Now(), window));
-  std::printf("under %s: n=%.0f c=%.2f rho=%.4f -> %s%s%s\n", bmdos ? "bmdos" : "defame",
-              result.n, result.c, result.rho, result.anomalous ? "ANOMALOUS (" : "normal",
-              result.anomalous
-                  ? (result.bmdos_suspected ? "bm-dos " : "")
-                  : "",
-              result.anomalous
-                  ? (result.defamation_suspected ? "defamation)" : ")")
-                  : "");
+  std::string verdict = "normal";
+  if (result.anomalous) {
+    std::string attribution = result.bmdos_suspected ? "bm-dos" : "";
+    if (result.defamation_suspected) {
+      attribution += attribution.empty() ? "defamation" : " defamation";
+    }
+    verdict = "ANOMALOUS (" + attribution + ")";
+  }
+  std::printf("under %s: n=%.0f c=%.2f rho=%.4f -> %s\n", bmdos ? "bmdos" : "defame",
+              result.n, result.c, result.rho, verdict.c_str());
   return result.anomalous ? 0 : 1;
 }
 
@@ -1640,8 +1642,9 @@ int RunTestbed(const Flags& flags) {
   return ok ? 0 : 1;
 }
 
+/// A malformed command line: usage goes to stderr, stdout stays empty.
 void Usage() {
-  std::printf(
+  std::fprintf(stderr,
       "banscore-lab <scenario> [--flag value ...]\n"
       "scenarios:\n"
       "  rules   --version 0.20|0.21|0.22\n"
