@@ -7,7 +7,9 @@
 // the same binary runs under seeded fault injection (--fault-* flags) for
 // the testbed's kill/recovery drills.
 //
-//   bsnetd --port 9001 --rpc-port 10001 --peers 127.0.0.1:9002,127.0.0.1:9003 \
+// For example (one command line):
+//
+//   bsnetd --port 9001 --rpc-port 10001 --peers 127.0.0.1:9002,127.0.0.1:9003
 //          --store-dir /tmp/n1 --mine-interval-ms 500 --seed 7
 //
 // Runs until SIGTERM/SIGINT, an RPC "stop", or --seconds elapses. Exit 0 on
