@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Pre-merge gate: the tier-1 verify (configure + build + full ctest run,
-# quick label first so sub-second suites fail fast), the fig6/fig8 paper
+# quick label first so sub-second suites fail fast), a build (no run) of the
+# perfbench benchmark package, the fig6/fig8 paper
 # benches gated bit-identical against their committed baselines, the real-socket
 # testbed drill (3 daemons, kill -9, WAL replay), the transport bench
 # gated against its committed baseline,
@@ -15,7 +16,7 @@
 # store-recovery gates: the fsck demo
 # round-trip against a real directory and the crash-at-every-syscall
 # recovery sweep re-run under ASan. Run from anywhere; builds land in
-# build/ (tier-1), build-asan/, and build-tsan/.
+# build/ (tier-1), build-perfbench/, build-asan/, and build-tsan/.
 #
 #   scripts/check.sh            # all stages
 #   scripts/check.sh --no-asan  # tier-1 + chaos smoke only (skips ASan+TSan)
@@ -36,6 +37,13 @@ cmake --build build -j
 # Sub-second unit/property suites fail fast before the wall-clock tiers run.
 ctest --test-dir build --output-on-failure -j "$(nproc)" -L quick
 ctest --test-dir build --output-on-failure -j "$(nproc)" -LE quick
+
+echo "==> perfbench: build only"
+# perfbench/ is a CMake project of its own that compiles src/ against its
+# own sources; nothing else builds it, so a header change that breaks it
+# would otherwise first show up when the benchmark runs.
+cmake -B build-perfbench -S perfbench
+cmake --build build-perfbench -j --target perfbench
 
 echo "==> testbed smoke: 3 real daemons, kill -9 drill, WAL replay, fsck"
 (cd build/tools && ./banscore-lab testbed --nodes 3 --format json)
